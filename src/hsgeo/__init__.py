@@ -25,6 +25,7 @@ from .engine import (
     blowup_time_bisect,
     blowup_time_positive_kappa,
     compose_with_inverse,
+    eulerian_fields,
     eulerian_positive_kappa,
     eulerian_solution,
     factor,
@@ -106,6 +107,7 @@ from .weak import (
     WeakState,
     admissibility,
     energy,
+    flow_state,
     geodesic_residual,
     lagrangian_snapshot,
     weak_residual,

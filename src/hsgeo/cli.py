@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -31,12 +30,8 @@ from .data import (
 from .engine import (
     blowup_time,
     blowup_time_bisect,
-    blowup_time_positive_kappa,
-    eulerian_positive_kappa,
-    eulerian_solution,
-    flow_map_positive_kappa,
+    eulerian_fields,
     is_global,
-    lagrangian_fields,
     singular_time_literal,
 )
 from .errors import BlowupReached, HsError
@@ -51,20 +46,12 @@ from .geometry import (
     nijenhuis,
     omega_form,
 )
-from .grid import derivative, integrate, mean_zero_project
+from .grid import mean_zero_project
 from .oracle import OracleConfig, compare
 from .sphere import boundary_hit_time, geodesic
-from .weak import admissibility, energy, lagrangian_snapshot, weak_solution, weak_state
+from .weak import admissibility, energy, flow_state
 
 SCHEMA = 1
-
-
-def _cap_threads() -> None:
-    cap = os.environ.get("HS_NUM_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _finite(x: float):
@@ -139,13 +126,8 @@ def _cmd_simulate(args) -> int:
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    if d.kappa == -1:
-        report_adm = admissibility(d)
-        adm = report_adm.admissible
-        tstar = math.inf if is_global(d) else blowup_time(d)
-    else:
-        adm = False
-        tstar = blowup_time_positive_kappa(d)
+    adm = admissibility(d).admissible
+    tstar = blowup_time(d)
     if not adm and times[-1] >= tstar:
         raise BlowupReached(
             f"requested t = {times[-1]:g} is not below the breakdown time {tstar:.6g} "
@@ -155,26 +137,13 @@ def _cmd_simulate(args) -> int:
     files = []
     energies = []
     for idx, t in enumerate(times):
-        if d.kappa == -1 and adm:
-            u, rho = weak_solution(d, t)
-            snap = lagrangian_snapshot(d, t)
-            e = energy(weak_state(d, t))
-        elif d.kappa == -1:
-            u, rho = eulerian_solution(d, t) if t > 0 else (d.u0, d.rho0)
-            lf = lagrangian_fields(d, t)
-            snap = lf.ux
-            e = integrate((lf.ux * lf.ux - lf.rho * lf.rho) * lf.phi_x)
-        else:
-            u, rho = eulerian_positive_kappa(d, t)
-            _, phi_t, phi_x = flow_map_positive_kappa(d, t)
-            snap = derivative(phi_t) / phi_x
-            rho_l = d.rho0 / phi_x
-            e = integrate((snap * snap + rho_l * rho_l) * phi_x)
-        energies.append(e)
+        s = flow_state(d, t)
+        u, rho = eulerian_fields(s)
+        energies.append(energy(s))
         if out:
             name = f"state_{idx:04d}.csv"
             _write_table(out / name, "x,u,rho,ux_along_flow",
-                         [d.grid.x, u.values, rho.values, snap.values])
+                         [d.grid.x, u.values, rho.values, s.ux.values])
             files.append({"t": t, "path": name})
 
     drift = max(abs(e - energies[0]) for e in energies)
@@ -240,13 +209,12 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_blowup(args) -> int:
     d, meta = _load_data(args)
+    closed = blowup_time(d)
     if d.kappa == -1:
-        closed = blowup_time(d)
         literal = singular_time_literal(d)
         bisect = blowup_time_bisect(d)
         glob = is_global(d)
     else:
-        closed = blowup_time_positive_kappa(d)
         literal = None
         bisect = None
         glob = math.isinf(closed)
@@ -452,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     args = _build_parser().parse_args(argv)
     try:
         if args.times is not None:

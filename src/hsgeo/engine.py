@@ -1,111 +1,137 @@
-"""Closed-form solution machinery for normalized data.
+"""Closed-form solution machinery: one oscillator behind every flow.
 
-Along each characteristic the quantities z = u_x +- rho obey the scalar
-Riccati equation dz/dt = -z^2/2 - 2c, solved by z = 2 w'(t)/w(t) where
-w'' = -c w, w(0) = 1, w'(0) = z0/2.  The Jacobian of the flow map
-factorizes over the two branches, phi_x = w_p w_q with initial slopes
-p0 = u0x + rho0 and q0 = u0x - rho0, which reduces breakdown detection
-to root-finding for a scalar factor per node.
+Along each characteristic the branch slopes z = u_x +- rho obey the
+scalar Riccati equation dz/dt = -z^2/2 - 2c, solved by z = 2 w'(t)/w(t)
+where the factor w solves the oscillator w'' = -c w, w(0) = 1,
+w'(0) = z0/2 (`factor`). The Jacobian of the flow map is the product
+of the two branch factors, phi_x = w_p w_q with initial slopes
+p0, q0 = u0x +- rho0; for the kappa = +1 coupling the slopes are the
+complex conjugates u0x +- i rho0 and phi_x = |w_p|^2. Breakdown is the
+first root of a factor, which exists only for slopes below the
+threshold -2 sqrt(-c) (every real slope for c > 0); sampled slopes
+within rounding distance of that threshold are set onto it in one
+place (`_branch_slopes`). Every time-t quantity of the classical flow
+is a `LagrangianFields` state built from the two factors, and one
+reconstruction (`eulerian_fields`) turns any such state, classical or
+weak, into Eulerian fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .data import InitialData, normalized_class
 from .errors import BlowupReached, NotInvertible, Singular
-from .grid import Grid, GridFunction, antiderivative_from_zero, derivative, integrate
+from .grid import Grid, GridFunction, antiderivative_from_zero, derivative
 
 SINGULAR_TOL = 1e-12
 INVERT_TOL = 1e-8
 NEWTON_SLOPE = 1e-3
+BORDER_TOL = 1e-12  # floor of the slope tolerance in _branch_slopes
+EPS = float(np.finfo(float).eps)
+SCAN_BLOCK = 256  # scan steps evaluated per factor call
 
 
-def riccati(z0, c: int, t: float):
-    """Characteristic slope at time t, by the closed form for c in {1, 0, -1}.
-
-    Accepts scalar or array z0; raises Singular when the denominator
-    vanishes (finite-time blow-up of the slope).
-    """
-    z0 = np.asarray(z0, dtype=float)
-    if c == 1:
-        # rational in tan t, written over sin/cos so no spurious poles
-        num = 2.0 * z0 * np.cos(t) - 4.0 * np.sin(t)
-        den = z0 * np.sin(t) + 2.0 * np.cos(t)
-    elif c == 0:
-        num = 2.0 * z0
-        den = 2.0 + z0 * t
-    elif c == -1:
-        e2t = math.exp(2.0 * t)
-        num = 2.0 * (z0 - 2.0 + e2t * (2.0 + z0))
-        den = 2.0 - z0 + e2t * (2.0 + z0)
-    else:
-        raise ValueError(f"c must be one of 1, 0, -1, got {c}")
-    if np.any(np.abs(den) < SINGULAR_TOL):
-        raise Singular(f"slope denominator vanished at t = {t}")
-    out = num / den
-    return float(out) if out.ndim == 0 else out
-
-
-def factor(z0, c: int, t):
+def factor(z0, c: float, t):
     """Characteristic factor w and its time derivative.
 
-    For c = -1 the factor is evaluated in exponential form,
-    w = ((z0+2) e^t + (2-z0) e^-t)/4, which avoids the catastrophic
-    cancellation of cosh t + (z0/2) sinh t at large t. t may be a
-    scalar or an array broadcastable against z0.
+    w solves w'' = -c w with w(0) = 1, w'(0) = z0/2, for any real c.
+    z0 may be complex (the conjugate slopes of the kappa = +1
+    coupling). For c < 0 the factor is evaluated as
+    w = e^{-st} + (1 + z0/2s) sinh st with s = sqrt(-c), which avoids
+    the catastrophic cancellation of cosh st + (z0/2s) sinh st at large
+    t for slopes near the threshold -2s, and keeps w(0) = 1 exact. t
+    may be a scalar or an array broadcastable against z0.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if c == 1:
-        w = np.cos(t) + 0.5 * z0 * np.sin(t)
-        wt = -np.sin(t) + 0.5 * z0 * np.cos(t)
+    z0 = np.asarray(z0)
+    z0 = z0.astype(np.result_type(z0, float), copy=False)
+    if c > 0:
+        s = math.sqrt(c)
+        w = np.cos(s * t) + 0.5 * z0 * np.sin(s * t) / s
+        wt = -s * np.sin(s * t) + 0.5 * z0 * np.cos(s * t)
     elif c == 0:
         w = 1.0 + 0.5 * z0 * t
         wt = 0.5 * z0 * np.ones_like(w)
-    elif c == -1:
-        ep = np.exp(t)
-        a, b = (z0 + 2.0) * ep, (2.0 - z0) / ep
-        w = 0.25 * (a + b)
-        wt = 0.25 * (a - b)
     else:
-        raise ValueError(f"c must be one of 1, 0, -1, got {c}")
+        s = math.sqrt(-c)
+        half = 1.0 + 0.5 * z0 / s
+        em = np.exp(-s * t)
+        w = em + half * np.sinh(s * t)
+        wt = s * (half * np.cosh(s * t) - em)
     return w, wt
 
 
-BORDER_TOL = 1e-12
+def riccati(z0, c: float, t: float):
+    """Characteristic slope 2 w'(t)/w(t) at time t.
 
-
-def factor_root_times(z0, c: int) -> np.ndarray:
-    """First positive zero of the characteristic factor, +inf where none.
-
-    Slopes within BORDER_TOL of the breakdown threshold are treated as
-    borderline (no root): presets sitting exactly on the global-existence
-    boundary would otherwise report spurious huge root times from
-    rounding noise in the sampled slopes.
+    Accepts scalar or array z0; raises Singular when the factor
+    vanishes (finite-time blow-up of the slope).
     """
-    z0 = np.asarray(z0, dtype=float)
-    out = np.full(z0.shape, np.inf)
-    if c == 1:
-        out = np.pi / 2.0 + np.arctan(0.5 * z0)
-    elif c == 0:
-        neg = z0 < -BORDER_TOL
-        out[neg] = -2.0 / z0[neg]
-    elif c == -1:
-        past = z0 < -2.0 - BORDER_TOL
-        out[past] = 0.5 * np.log((z0[past] - 2.0) / (z0[past] + 2.0))
-    else:
-        raise ValueError(f"c must be one of 1, 0, -1, got {c}")
-    return out
+    w, wt = factor(z0, c, t)
+    if np.any(np.abs(w) < SINGULAR_TOL):
+        raise Singular(f"slope denominator vanished at t = {t}")
+    out = 2.0 * wt / w
+    return out.item() if out.ndim == 0 else out
 
 
-def _branch_slopes(d: InitialData) -> tuple[np.ndarray, np.ndarray]:
+def _threshold(c: float) -> float:
+    """Slope below which a real factor has a positive root."""
+    return math.inf if c > 0 else -2.0 * math.sqrt(-c)
+
+
+def _breaking(z: np.ndarray, c: float) -> np.ndarray:
+    """Mask of the slopes whose factor has a positive root: the real
+    ones below the threshold (a complex factor never vanishes)."""
+    return (z.imag == 0) & (z.real < _threshold(c))
+
+
+def _branch_slopes(d: InitialData, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Initial slopes p0, q0 = u0x +- rho0 of the two factor branches
+    (u0x +- i rho0 for kappa = +1), set onto the breakdown threshold
+    where they sit within rounding distance of it.
+
+    Spectral differentiation leaves noise of about 0.2-0.5 n eps max|z|
+    in the sampled slopes of an n-node datum, so data exactly on the
+    threshold -2 sqrt(-c) (or, for kappa = +1, on the real axis) would
+    otherwise get spurious huge root times, and the weak flow terms
+    growing like sinh^2 t. Slopes within 8 n eps max|z|, and never less
+    than BORDER_TOL, of the threshold are taken to be on it.
+    """
     u0x = d.u0x.values
     r0 = d.rho0.values
-    return u0x + r0, u0x - r0
+    tol = max(BORDER_TOL, 8.0 * u0x.size * EPS * float((np.abs(u0x) + np.abs(r0)).max()))
+    if d.kappa == 1:
+        r0 = 1j * np.where(np.abs(r0) <= tol, 0.0, r0)
+        return u0x + r0, u0x - r0
+    thr = _threshold(c)
+    p0, q0 = u0x + r0, u0x - r0
+    return np.where(np.abs(p0 - thr) <= tol, thr, p0), np.where(np.abs(q0 - thr) <= tol, thr, q0)
+
+
+def factor_root_times(z0, c: float) -> np.ndarray:
+    """First positive zero of the characteristic factor, +inf where none.
+
+    Only real slopes strictly below the threshold -2 sqrt(-c) have one
+    (every real slope for c > 0); slopes exactly on it do not.
+    """
+    z0 = np.asarray(z0)
+    out = np.full(z0.shape, np.inf)
+    hit = _breaking(z0, c)
+    z = z0[hit].real
+    if c > 0:
+        s = math.sqrt(c)
+        out[hit] = (np.pi / 2.0 + np.arctan(z / (2.0 * s))) / s
+    elif c == 0:
+        out[hit] = -2.0 / z
+    else:
+        s = math.sqrt(-c)
+        out[hit] = np.log((z - 2.0 * s) / (z + 2.0 * s)) / (2.0 * s)
+    return out
 
 
 def blowup_time(d: InitialData) -> float:
@@ -115,78 +141,70 @@ def blowup_time(d: InitialData) -> float:
     branches and all nodes; +inf when no factor ever vanishes.
     """
     c = normalized_class(d)
-    p0, q0 = _branch_slopes(d)
-    roots = np.minimum(factor_root_times(p0, c), factor_root_times(q0, c))
-    return float(roots.min())
+    return float(factor_root_times(np.concatenate(_branch_slopes(d, c)), c).min())
 
 
 def singular_time_literal(d: InitialData) -> float:
     """Literal transcription of the breakdown-time formula, for comparison.
 
     This takes the infimum of the branch slopes *inside* the outer
-    concave map. For c = -1 that map (arccoth) is decreasing, so the
-    expression picks the last per-node root rather than the first and
-    can disagree with blowup_time; both are reported by the CLI.
+    concave map. For c = -1 that map (arccoth of y = -z/2) is
+    decreasing, so the expression picks the last per-node root rather
+    than the first and can disagree with blowup_time; both are reported
+    by the CLI.
     """
     c = normalized_class(d)
-    p0, q0 = _branch_slopes(d)
-    vals = []
-    if c == 1:
-        for z0 in (p0, q0):
-            vals.append(np.pi / 2.0 + math.atan(0.5 * float(z0.min())))
-    elif c == 0:
-        for z0 in (p0, q0):
-            neg = z0[z0 < -BORDER_TOL]
-            if neg.size:
-                vals.append(float((-2.0 / neg).min()))
-    else:
-        for z0 in (p0, q0):
-            y = -0.5 * z0[z0 < -2.0 - BORDER_TOL]  # y > 1 on the breaking set
-            if y.size:
-                ymin = float(y.min())
-                vals.append(0.5 * math.log((ymin + 1.0) / (ymin - 1.0)))
-    return min(vals) if vals else math.inf
+    picks = []
+    for z in _branch_slopes(d, c):
+        z = z[_breaking(z, c)].real
+        if z.size:
+            picks.append(z.max() if c == -1 else z.min())
+    return float(factor_root_times(np.array(picks), c).min()) if picks else math.inf
 
 
-def blowup_time_bisect(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -> float:
-    """Breakdown time located by scan and bisection, +inf if none found.
+def _scan_bisect(d: InitialData, c: float, t_max: float, step: float) -> float:
+    """First zero of a factor over all breaking slopes, by scan and
+    bisection; +inf if none before t_max.
 
-    Scans each characteristic factor separately for a sign change and
-    refines the earliest bracket by bisection. Factor roots are always
-    simple (the factor solves a linear second-order equation with unit
-    initial value), so this detects breakdown even where the two
-    branches coincide and min phi_x only touches zero. Independent of
-    the closed-form root expressions used by blowup_time. Slopes within
-    BORDER_TOL of the breakdown threshold are dropped, same as there.
+    The factors are scanned in steps of `step` for a sign change and
+    the first bracket is refined by 60 bisections, without the
+    closed-form root expressions. Factor roots are always simple (the
+    factor solves a linear second-order equation with unit initial
+    value), so this detects breakdown even where the two branches
+    coincide and min phi_x only touches zero. At each t the factor is
+    affine in the slope, so its minimum over the breaking slopes sits at
+    the smallest or the largest one: only those two are scanned.
     """
-    c = normalized_class(d)
-    p0, q0 = _branch_slopes(d)
-    z = np.concatenate([p0, q0])
-    if c == 0:
-        z = z[z < -BORDER_TOL]
-    elif c == -1:
-        z = z[z < -2.0 - BORDER_TOL]
+    z = np.concatenate(_branch_slopes(d, c))
+    z = z[_breaking(z, c)].real
     if z.size == 0:
         return math.inf
+    ends = np.array([z.min(), z.max()])
     t = 0.0
-    w_prev = factor(z, c, 0.0)[0]
     while t < t_max:
-        t2 = min(t + step, t_max)
-        w2 = factor(z, c, t2)[0]
-        hit = (w_prev > 0.0) & (w2 <= 0.0)
-        if hit.any():
-            zz = z[hit]
-            lo = np.full(zz.shape, t)
-            hi = np.full(zz.shape, t2)
+        ts = np.minimum(t + step * np.arange(1, SCAN_BLOCK + 1), t_max)
+        w = factor(ends, c, ts[:, None])[0]
+        rows = np.nonzero((w <= 0.0).any(axis=1))[0]
+        if rows.size:
+            k = rows[0]
+            zz = ends[w[k] <= 0.0]
+            lo = np.full(zz.shape, ts[k - 1] if k else t)
+            hi = np.full(zz.shape, ts[k])
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
                 neg = factor(zz, c, mid)[0] <= 0.0
                 hi = np.where(neg, mid, hi)
                 lo = np.where(neg, lo, mid)
             return float(hi.min())
-        w_prev = w2
-        t = t2
+        t = float(ts[-1])
     return math.inf
+
+
+def blowup_time_bisect(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -> float:
+    """Breakdown time of normalized data located by scan and bisection,
+    +inf if none found; independent of the closed-form roots used by
+    blowup_time."""
+    return _scan_bisect(d, normalized_class(d), t_max, step)
 
 
 def is_global(d: InitialData) -> bool:
@@ -195,26 +213,39 @@ def is_global(d: InitialData) -> bool:
     Only the c = -1 class admits global solutions; the criterion is the
     pointwise bound |rho0| <= u0x + 2 (both branch slopes stay >= -2).
     """
-    if normalized_class(d) != -1:
+    c = normalized_class(d)
+    if c != -1:
         return False
-    u0x = d.u0x.values
-    return bool(np.all(np.abs(d.rho0.values) <= u0x + 2.0 + 1e-12))
+    return not _breaking(np.concatenate(_branch_slopes(d, c)), c).any()
 
 
 @dataclass(frozen=True)
 class LagrangianFields:
-    """Solution snapshot in label coordinates.
+    """Flow state at time t in label coordinates.
 
-    ux and rho are the Eulerian velocity gradient and density evaluated
-    along the flow map; phi is the flow map itself (phi(0) = 0, and
-    phi - x is periodic).
+    phi is the flow map (phi(0) = 0, and phi - x is periodic), phi_t
+    its velocity, phi_x and phi_tx their label derivatives, and
+    rho = rho0 / phi_x the density carried along the flow. The
+    classical flow of either coupling (lagrangian_fields) and the
+    global weak flow (weak.WeakState) share this state.
     """
 
+    # eulerian_fields refuses a classical state this close to folding;
+    # the weak continuation passes through degenerate labels by design
+    refuse_degenerate: ClassVar[bool] = True
+
     t: float
-    ux: GridFunction
-    rho: GridFunction
+    kappa: int
     phi: GridFunction
+    phi_t: GridFunction
     phi_x: GridFunction
+    phi_tx: GridFunction
+    rho: GridFunction
+
+    @property
+    def ux(self) -> GridFunction:
+        """Eulerian velocity gradient along the flow, phi_tx / phi_x."""
+        return self.phi_tx / self.phi_x
 
 
 def _require_before_blowup(d: InitialData, t: float) -> int:
@@ -226,39 +257,27 @@ def _require_before_blowup(d: InitialData, t: float) -> int:
         raise BlowupReached(f"t = {t} is not below the breakdown time {tstar:.6g}")
     return c
 
+
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
-    """Closed-form solution along the flow at time t (normalized data)."""
+    """Classical flow state at time t (normalized data): the product
+    of the two branch factors, refused at or past breakdown."""
     c = _require_before_blowup(d, t)
-    u0x = d.u0x.values
-    r0 = d.rho0.values
-    if c == -1:
-        den = (2.0 * math.cosh(t) + u0x * math.sinh(t)) ** 2 - r0**2 * math.sinh(t) ** 2
-        ux = (4.0 * math.cosh(2 * t) * u0x + math.sinh(2 * t) * (u0x**2 - r0**2 + 4.0)) / den
-    elif c == 0:
-        den = (2.0 + u0x * t) ** 2 - r0**2 * t**2
-        ux = (4.0 * u0x + 2.0 * t * (u0x**2 - r0**2)) / den
-    else:
-        den = (u0x * math.sin(t) + 2.0 * math.cos(t)) ** 2 - r0**2 * math.sin(t) ** 2
-        ux = (4.0 * math.cos(2 * t) * u0x + math.sin(2 * t) * (u0x**2 - r0**2 - 4.0)) / den
-    rho = 4.0 * r0 / den
+    p0, q0 = _branch_slopes(d, c)
+    wp, wtp = factor(p0, c, t)
+    wq, wtq = factor(q0, c, t)
     grid = d.grid
-    p0, q0 = _branch_slopes(d)
-    wp, _ = factor(p0, c, t)
-    wq, _ = factor(q0, c, t)
-    phi_x = GridFunction(grid, wp * wq)
-    phi = antiderivative_from_zero(phi_x)
-    return LagrangianFields(t, GridFunction(grid, ux), GridFunction(grid, rho), phi, phi_x)
+    phi_x = grid.function((wp * wq).real)
+    phi_tx = grid.function((wtp * wq + wp * wtq).real)
+    return LagrangianFields(
+        t, d.kappa, antiderivative_from_zero(phi_x), antiderivative_from_zero(phi_tx),
+        phi_x, phi_tx, d.rho0 / phi_x,
+    )
 
 
 def flow_velocity(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]:
     """Flow map and its time derivative (velocity along the labels)."""
-    c = _require_before_blowup(d, t)
-    p0, q0 = _branch_slopes(d)
-    wp, wtp = factor(p0, c, t)
-    wq, wtq = factor(q0, c, t)
-    phi = antiderivative_from_zero(GridFunction(d.grid, wp * wq))
-    phi_t = antiderivative_from_zero(GridFunction(d.grid, wtp * wq + wp * wtq))
-    return phi, phi_t
+    lf = lagrangian_fields(d, t)
+    return lf.phi, lf.phi_t
 
 
 def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid, wrap: int = 8) -> np.ndarray:
@@ -292,58 +311,53 @@ def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid, wrap:
     return PchipInterpolator(xs[keep], ys[keep])(grid.x)
 
 
+def eulerian_fields(s: LagrangianFields) -> tuple[GridFunction, GridFunction]:
+    """(u, rho) on the fixed spatial grid from a flow state.
+
+    The velocity phi_t and the density rho0 / phi_x are composed with
+    the inverse flow map, and u(0) is pinned to 0 (phi(0) = 0 and
+    phi_t(0) = 0). A classical state with min phi_x below INVERT_TOL is
+    refused.
+    """
+    if s.refuse_degenerate and s.phi_x.min() < INVERT_TOL:
+        raise NotInvertible(f"min phi_x = {s.phi_x.min():.3e} below {INVERT_TOL:.0e} at t = {s.t}")
+    grid = s.phi.grid
+    u = compose_with_inverse(s.phi.values, s.phi_t.values, grid)
+    rho = compose_with_inverse(s.phi.values, s.rho.values, grid)
+    u[0] = 0.0
+    return GridFunction(grid, u), GridFunction(grid, rho)
+
+
 def eulerian_solution(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]:
     """(u, rho) on the fixed spatial grid, by inverting the flow map."""
-    lf = lagrangian_fields(d, t)
-    if lf.phi_x.min() < INVERT_TOL:
-        raise NotInvertible(f"min phi_x = {lf.phi_x.min():.3e} below {INVERT_TOL:.0e} at t = {t}")
-    _, phi_t = flow_velocity(d, t)
-    grid = d.grid
-    u = compose_with_inverse(lf.phi.values, phi_t.values, grid)
-    rho = compose_with_inverse(lf.phi.values, lf.rho.values, grid)
-    u[0] = 0.0  # phi(0) = 0 and phi_t(0) = 0 pin the value exactly
-    return GridFunction(grid, u), GridFunction(grid, rho)
+    return eulerian_fields(lagrangian_fields(d, t))
+
+
+def _require_positive_kappa(d: InitialData) -> None:
+    if d.kappa != 1:
+        raise ValueError("this is the kappa = +1 branch")
 
 
 def flow_map_positive_kappa(d: InitialData, t: float):
     """Flow map for the kappa = +1 coupling, normalized to c = 1.
 
-    phi_x = (cos t + (u0x/2) sin t)^2 + (rho0^2/4) sin^2 t; the Jacobian
-    never factorizes here, but for c = 1 it stays positive and the map
-    is global. Returns (phi, phi_t, phi_x).
+    phi_x = |cos t + (z0/2) sin t|^2 with z0 = u0x + i rho0; it only
+    vanishes where the density does. Returns (phi, phi_t, phi_x).
     """
-    if d.kappa != 1:
-        raise ValueError("this flow map is the kappa = +1 branch")
-    c = 0.25 * integrate(d.u0x * d.u0x + d.rho0 * d.rho0)
-    if abs(c - 1.0) > 1e-9:
-        raise ValueError(f"data is not normalized (c = {c:.6g}); call normalize() first")
-    u0x = d.u0x.values
-    r0 = d.rho0.values
-    a = np.cos(t) + 0.5 * u0x * np.sin(t)
-    at = -np.sin(t) + 0.5 * u0x * np.cos(t)
-    phi_x = a**2 + 0.25 * r0**2 * np.sin(t) ** 2
-    phi_xt = 2.0 * a * at + 0.5 * r0**2 * np.sin(t) * np.cos(t)
-    grid = d.grid
-    phi = antiderivative_from_zero(GridFunction(grid, phi_x))
-    phi_t = antiderivative_from_zero(GridFunction(grid, phi_xt))
-    return phi, phi_t, GridFunction(grid, phi_x)
+    _require_positive_kappa(d)
+    lf = lagrangian_fields(d, t)
+    return lf.phi, lf.phi_t, lf.phi_x
 
 
 def blowup_time_positive_kappa(d: InitialData) -> float:
     """First degeneracy of the kappa = +1 flow map, +inf if none.
 
-    phi_x = (cos t + (u0x/2) sin t)^2 + (rho0^2/4) sin^2 t only vanishes
-    at nodes where the density is zero, through the root of the cosine
-    factor; everywhere else the density term keeps the Jacobian
-    positive.
+    The complex factor only vanishes at nodes where the density is
+    zero, through the root of its real part there; everywhere else the
+    density keeps the Jacobian positive.
     """
-    if d.kappa != 1:
-        raise ValueError("this breakdown time is the kappa = +1 branch")
-    u0x = d.u0x.values
-    bare = np.abs(d.rho0.values) <= BORDER_TOL
-    if not bare.any():
-        return math.inf
-    return float(factor_root_times(u0x[bare], 1).min())
+    _require_positive_kappa(d)
+    return blowup_time(d)
 
 
 def eulerian_positive_kappa(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]:
@@ -352,9 +366,5 @@ def eulerian_positive_kappa(d: InitialData, t: float) -> tuple[GridFunction, Gri
     The continuity equation gives rho along the flow as rho0/phi_x
     regardless of the coupling sign.
     """
-    phi, phi_t, phi_x = flow_map_positive_kappa(d, t)
-    grid = d.grid
-    u = compose_with_inverse(phi.values, phi_t.values, grid)
-    u[0] = 0.0
-    rho = compose_with_inverse(phi.values, d.rho0.values / phi_x.values, grid)
-    return GridFunction(grid, u), GridFunction(grid, rho)
+    _require_positive_kappa(d)
+    return eulerian_solution(d, t)

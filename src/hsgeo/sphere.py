@@ -9,12 +9,12 @@ geodesics: straight-line solutions of f_tt + c f = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import InitialData, casimir
+from .engine import _branch_slopes, _scan_bisect, factor
 from .errors import NotInU
 from .grid import Grid, GridFunction, antiderivative_from_zero, derivative, integrate
 
@@ -177,24 +177,16 @@ def canonical_representative(g: GroupElement) -> tuple[GroupElement, float]:
     return GroupElement(g.phi, g.alpha - 2.0 * beta), beta
 
 
-def _propagator(c: float, t: float) -> tuple[float, float]:
-    if c > 0.0:
-        s = math.sqrt(c)
-        return math.cos(s * t), math.sin(s * t) / s
-    if c < 0.0:
-        s = math.sqrt(-c)
-        return math.cosh(s * t), math.sinh(s * t) / s
-    return 1.0, t
+def _branch_factors(d: InitialData, t: float):
+    """Factors and their rates on the two branches, f1 +- f2 = w(u0x +- rho0).
 
-
-def _propagator_arr(c: float, t: np.ndarray):
-    if c > 0.0:
-        s = math.sqrt(c)
-        return np.cos(s * t), np.sin(s * t) / s
-    if c < 0.0:
-        s = math.sqrt(-c)
-        return np.cosh(s * t), np.sinh(s * t) / s
-    return np.ones_like(t), t
+    The oscillator is driven by the conserved quarter-energy c of the
+    datum itself; no normalization is assumed.
+    """
+    if d.kappa != -1:
+        raise ValueError("pseudosphere geodesics require kappa = -1")
+    c = casimir(d)
+    return [factor(z, c, t) for z in _branch_slopes(d, c)]
 
 
 def geodesic(d: InitialData, t: float) -> SpherePoint:
@@ -205,28 +197,16 @@ def geodesic(d: InitialData, t: float) -> SpherePoint:
     quarter-energy of the datum; no normalization of the datum is
     assumed. Only kappa = -1 data ride the indefinite pairing.
     """
-    if d.kappa != -1:
-        raise ValueError("pseudosphere geodesics require kappa = -1")
-    c = casimir(d)
-    a, b = _propagator(c, t)
+    (wp, _), (wq, _) = _branch_factors(d, t)
     gr = d.grid
-    return SpherePoint(
-        gr.function(a + 0.5 * b * d.u0x.values),
-        gr.function(0.5 * b * d.rho0.values),
-    )
+    return SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
 
 
 def geodesic_velocity(d: InitialData, t: float):
     """Time derivative of the geodesic, as a component pair."""
-    if d.kappa != -1:
-        raise ValueError("pseudosphere geodesics require kappa = -1")
-    c = casimir(d)
-    a, b = _propagator(c, t)
+    (_, vp), (_, vq) = _branch_factors(d, t)
     gr = d.grid
-    return (
-        gr.function(-c * b + 0.5 * a * d.u0x.values),
-        gr.function(0.5 * a * d.rho0.values),
-    )
+    return gr.function(0.5 * (vp + vq)), gr.function(0.5 * (vp - vq))
 
 
 def boundary_hit_time(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -> float:
@@ -236,45 +216,10 @@ def boundary_hit_time(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -
     which solve g_tt + c g = 0 with g(0) = 1 and therefore have simple
     roots; this sees tangential exits (vanishing density at the
     breaking node) where min_x of the product only touches zero.
-    Returns +inf if nothing vanishes before t_max. Nodes whose factor
-    slope sits within 1e-12 of the no-root threshold are dropped, so
-    data exactly on the global-existence boundary is not misreported
-    from rounding noise in the sampled slopes.
+    Returns +inf if nothing vanishes before t_max. Slopes on the
+    no-root threshold up to rounding count as on it, so data exactly on
+    the global-existence boundary is not misreported.
     """
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
-    u0x = d.u0x.values
-    rho0 = d.rho0.values
-    c = casimir(d)
-    z = np.concatenate([u0x + rho0, u0x - rho0])
-    if c < 0.0:
-        z = z[z < -2.0 * math.sqrt(-c) - 1e-12]
-    elif c == 0.0:
-        z = z[z < -1e-12]
-    if z.size == 0:
-        return math.inf
-
-    def fields(t):
-        a, b = _propagator(c, t)
-        return a + 0.5 * b * z
-
-    t = 0.0
-    w_prev = fields(0.0)
-    while t < t_max:
-        t2 = min(t + step, t_max)
-        w2 = fields(t2)
-        hit = (w_prev > 0.0) & (w2 <= 0.0)
-        if hit.any():
-            zz = z[hit]
-            lo = np.full(zz.shape, t)
-            hi = np.full(zz.shape, t2)
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                am, bm = _propagator_arr(c, mid)
-                neg = am + 0.5 * bm * zz <= 0.0
-                hi = np.where(neg, mid, hi)
-                lo = np.where(neg, lo, mid)
-            return float(hi.min())
-        w_prev = w2
-        t = t2
-    return math.inf
+    return _scan_bisect(d, casimir(d), t_max, step)

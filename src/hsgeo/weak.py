@@ -10,12 +10,19 @@ weakly for all time while conserving the indefinite energy.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .data import InitialData, casimir
-from .engine import blowup_time, compose_with_inverse, lagrangian_fields
-from .errors import BlowupReached, NotAdmissible
+from .engine import (
+    LagrangianFields,
+    _branch_slopes,
+    _breaking,
+    eulerian_fields,
+    lagrangian_fields,
+)
+from .errors import NotAdmissible
 from .geometry import TangentPair, christoffel
 from .grid import (
     GridFunction,
@@ -26,7 +33,6 @@ from .grid import (
 from .sphere import GroupElement
 
 CASIMIR_TOL = 1e-9
-SLOPE_TOL = 1e-12
 DEGENERATE_NODE_TOL = 1e-14
 
 
@@ -48,34 +54,34 @@ def admissibility(d: InitialData) -> AdmissibilityReport:
     """Check the two hypotheses of the global flow.
 
     (A) the energy constant equals -1; (B) |rho0| <= u0x + 2 node-wise,
-    with a 1e-12 tolerance so data sitting exactly on the breakdown
-    threshold is accepted.
+    i.e. no branch slope below the breakdown threshold -2, where slopes
+    on the threshold up to rounding count as on it.
     """
     c = casimir(d)
     cond_a = abs(c + 1.0) <= CASIMIR_TOL
-    slack = d.u0x.values + 2.0 - np.abs(d.rho0.values)
-    bad = np.nonzero(slack < -SLOPE_TOL)[0]
+    p0, q0 = _branch_slopes(d, -1)
+    bad = np.nonzero(_breaking(p0, -1) | _breaking(q0, -1))[0]
     return AdmissibilityReport(c, cond_a, bad.size == 0, bad.tolist())
 
 
 @dataclass(frozen=True)
-class WeakState:
-    """Flow-map snapshot (phi, alpha) with its factor fields and rates.
+class WeakState(LagrangianFields):
+    """Flow state of the global weak flow, with the chart coordinates.
 
     f1 and f2 are the two components of the geodesic on the
-    pseudosphere; phi_x = f1^2 - f2^2 is the flow-map derivative,
-    stored explicitly because the invariants and the energy quadrature
-    live on it.
+    pseudosphere, phi_x = f1^2 - f2^2, and alpha is the twist, whose
+    rate alpha_t is the density rho along the flow.
     """
 
-    t: float
+    refuse_degenerate: ClassVar[bool] = False
+
     f1: GridFunction
     f2: GridFunction
-    phi: GridFunction
     alpha: GridFunction
-    phi_t: GridFunction
-    alpha_t: GridFunction
-    phi_x: GridFunction
+
+    @property
+    def alpha_t(self) -> GridFunction:
+        return self.rho
 
     def __post_init__(self):
         if abs(self.phi.values[0]) > 1e-9:
@@ -92,20 +98,13 @@ class WeakState:
 def _factor_pieces(d: InitialData):
     """Nonnegative half-slopes (1 + z0/2) of the two factor branches.
 
-    Values within the admissibility tolerance of zero are snapped to
-    exactly zero. The closed forms are exponentially sensitive to the
-    distinction between critical and nearly critical slopes, and
-    rounding noise in the sampled gradient would otherwise masquerade
-    as an interior datum and pollute the conserved quantities with
-    terms growing like sinh^2 t.
+    Slopes on the threshold -2 up to rounding are exactly on it, so
+    their half-slopes are exactly zero: the closed forms are
+    exponentially sensitive to the distinction between critical and
+    nearly critical slopes.
     """
-    u0x = d.u0x.values
-    rho0 = d.rho0.values
-    sp = 1.0 + 0.5 * (u0x + rho0)
-    sq = 1.0 + 0.5 * (u0x - rho0)
-    sp = np.where(np.abs(sp) <= SLOPE_TOL, 0.0, sp)
-    sq = np.where(np.abs(sq) <= SLOPE_TOL, 0.0, sq)
-    return np.maximum(sp, 0.0), np.maximum(sq, 0.0)
+    p0, q0 = _branch_slopes(d, -1)
+    return np.maximum(1.0 + 0.5 * p0, 0.0), np.maximum(1.0 + 0.5 * q0, 0.0)
 
 
 def _closed_fields(d: InitialData, t: float):
@@ -153,24 +152,34 @@ def weak_state(d: InitialData, t: float) -> WeakState:
     wq = em + sq * sh
     f1 = gr.function(0.5 * (wp + wq))
     f2 = gr.function(0.5 * (wp - wq))
-    phi = antiderivative_from_zero(gr.function(phi_x))
-    alpha = gr.function(np.log(wp) - np.log(wq))
-    phi_t = antiderivative_from_zero(gr.function(phi_tx))
-    alpha_t = gr.function(d.rho0.values / phi_x)
-    return WeakState(t, f1, f2, phi, alpha, phi_t, alpha_t, gr.function(phi_x))
+    phi_x = gr.function(phi_x)
+    phi_tx = gr.function(phi_tx)
+    return WeakState(
+        t=t, kappa=-1, phi=antiderivative_from_zero(phi_x), phi_t=antiderivative_from_zero(phi_tx),
+        phi_x=phi_x, phi_tx=phi_tx, rho=d.rho0 / phi_x,
+        f1=f1, f2=f2, alpha=gr.function(np.log(wp) - np.log(wq)),
+    )
 
 
-def energy(s: WeakState) -> float:
-    """Conserved indefinite energy int (phi_tx^2 / phi_x - alpha_t^2 phi_x).
+def flow_state(d: InitialData, t: float) -> LagrangianFields:
+    """Flow state at time t: the global weak flow for admissible data,
+    the classical closed form otherwise (refused at or past breakdown)."""
+    if admissibility(d).admissible:
+        return weak_state(d, t)
+    return lagrangian_fields(d, t)
+
+
+def energy(s: LagrangianFields) -> float:
+    """Conserved energy int (phi_tx^2 + kappa rho0^2) / phi_x of a flow state.
 
     Quadrature skips degenerate nodes (phi_x below 1e-14): the
-    integrand extends by zero across the degeneracy set. Equals -4 for
-    every admissible datum at every time.
+    integrand extends by zero across the degeneracy set. Equals 4c for
+    normalized data of class c; -4 for every admissible datum at every
+    time.
     """
-    phi_tx = derivative(s.phi_t).values
     px = s.phi_x.values
     keep = px > DEGENERATE_NODE_TOL
-    vals = phi_tx[keep] ** 2 / px[keep] - s.alpha_t.values[keep] ** 2 * px[keep]
+    vals = s.phi_tx.values[keep] ** 2 / px[keep] + s.kappa * s.rho.values[keep] ** 2 * px[keep]
     return float(vals.sum() / px.size)
 
 
@@ -182,10 +191,8 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     state. Zero up to quadrature error for admissible data.
     """
     s = weak_state(d, t)
-    gr = d.grid
-    _, _, _, _, phi_x, phi_tx, phi_ttx = _closed_fields(d, t)
-    phi_tt = antiderivative_from_zero(gr.function(phi_ttx))
-    alpha_tt = gr.function(-d.rho0.values * phi_tx / phi_x**2)
+    phi_tt = antiderivative_from_zero(d.grid.function(_closed_fields(d, t)[-1]))
+    alpha_tt = -d.rho0 * s.phi_tx / (s.phi_x * s.phi_x)
 
     base = GroupElement(s.phi, s.alpha)
     vel = TangentPair(s.phi_t, s.alpha_t, base=base)
@@ -200,11 +207,7 @@ def weak_solution(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]
     the flow map, so everything reduces to inverting the nondecreasing
     phi; degenerate plateaus collapse to single Eulerian points.
     """
-    s = weak_state(d, t)
-    gr = d.grid
-    u = compose_with_inverse(s.phi.values, s.phi_t.values, gr)
-    rho = compose_with_inverse(s.phi.values, s.alpha_t.values, gr)
-    return gr.function(u), gr.function(rho)
+    return eulerian_fields(weak_state(d, t))
 
 
 def weak_residual(d: InitialData, t: float, dt: float = 1e-4) -> float:
@@ -235,11 +238,4 @@ def lagrangian_snapshot(d: InitialData, t: float) -> GridFunction:
     to the classical closed form and is refused past its breakdown
     time.
     """
-    if admissibility(d).admissible:
-        s = weak_state(d, t)
-        return derivative(s.phi_t) / s.phi_x
-    if t >= blowup_time(d):
-        raise BlowupReached(
-            "data is not admissible for the weak flow and t is past breakdown"
-        )
-    return lagrangian_fields(d, t).ux
+    return flow_state(d, t).ux

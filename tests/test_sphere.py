@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hsgeo.data import casimir, preset
+from hsgeo.data import InitialData, casimir, normalize, preset
 from hsgeo.engine import blowup_time, lagrangian_fields
 from hsgeo.errors import NotInU
 from hsgeo.grid import GridFunction, antiderivative_from_zero, derivative, integrate
@@ -228,5 +228,10 @@ def test_boundary_hit_matches_the_breakdown_clock():
     for name in ("fig1a", "fig1b", "lightlike"):
         d = preset(name)
         assert abs(boundary_hit_time(d, t_max=3.0) - blowup_time(d)) < 1e-8
+    # unnormalised: the hit runs on the physical clock of the datum itself
+    d = preset("fig1a")
+    raw = InitialData(d.u0 * 2.0, d.rho0 * 2.0, -1)
+    norm, cls = normalize(raw)
+    assert abs(boundary_hit_time(raw, t_max=3.0) - cls.scale * blowup_time(norm)) < 1e-8
     assert boundary_hit_time(preset("fig1c"), t_max=3.0) == math.inf
     assert boundary_hit_time(preset("stationary"), t_max=3.0) == math.inf
