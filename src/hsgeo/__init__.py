@@ -86,6 +86,8 @@ from .grid import (
     mean_zero_project,
     read_csv,
     write_csv,
+    write_table,
+    write_text,
 )
 from .oracle import OracleConfig, compare, evolve, rhs
 from .sphere import (
@@ -95,6 +97,7 @@ from .sphere import (
     canonical_representative,
     gauge_parameter,
     geodesic,
+    geodesic_gap,
     geodesic_velocity,
     lorentz,
     pairing,

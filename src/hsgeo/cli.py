@@ -46,9 +46,9 @@ from .geometry import (
     nijenhuis,
     omega_form,
 )
-from .grid import mean_zero_project
+from .grid import mean_zero_project, write_table, write_text
 from .oracle import OracleConfig, compare
-from .sphere import boundary_hit_time, geodesic
+from .sphere import boundary_hit_time, geodesic, geodesic_gap
 from .weak import admissibility, energy, flow_state
 
 SCHEMA = 1
@@ -95,19 +95,12 @@ def _load_data(args) -> tuple[InitialData, dict]:
     return d, {"name": args.preset}
 
 
-def _write_table(path: Path, header: str, columns) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
 def _emit(report: dict, args, human_lines: list[str]) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{report['command']}.json").write_text(text)
+        write_text(out / f"{report['command']}.json", text)
     if args.json:
         sys.stdout.write(text)
     else:
@@ -142,8 +135,8 @@ def _cmd_simulate(args) -> int:
         energies.append(energy(s))
         if out:
             name = f"state_{idx:04d}.csv"
-            _write_table(out / name, "x,u,rho,ux_along_flow",
-                         [d.grid.x, u.values, rho.values, s.ux.values])
+            write_table(out / name, "x,u,rho,ux_along_flow",
+                        [d.grid.x, u.values, rho.values, s.ux.values])
             files.append({"t": t, "path": name})
 
     drift = max(abs(e - energies[0]) for e in energies)
@@ -184,11 +177,10 @@ def _cmd_geodesic(args) -> int:
     mins = []
     for idx, t in enumerate(times):
         f = geodesic(d, t)
-        gap = f.f1 * f.f1 - f.f2 * f.f2
-        mins.append(gap.min())
+        mins.append(geodesic_gap(d, t).min())
         if out:
             name = f"sphere_{idx:04d}.csv"
-            _write_table(out / name, "x,f1,f2", [d.grid.x, f.f1.values, f.f2.values])
+            write_table(out / name, "x,f1,f2", [d.grid.x, f.f1.values, f.f2.values])
             files.append({"t": t, "path": name})
     report = {
         "schema": SCHEMA,
@@ -330,7 +322,7 @@ def _cmd_findim(args) -> int:
         rows = plane_scan(n)
         text = "a,b,sec\n" + "".join(f"{a},{b},{s:.17g}\n" for a, b, s in rows)
         if out:
-            (out / "planes.csv").write_text(text)
+            write_text(out / "planes.csv", text)
         if args.json:
             report = {"schema": SCHEMA, "command": "findim", "n": n,
                       "planes": [{"a": a, "b": b, "sec": s} for a, b, s in rows]}

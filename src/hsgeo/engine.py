@@ -27,7 +27,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .data import InitialData, normalized_class
 from .errors import BlowupReached, NotInvertible, Singular
-from .grid import Grid, GridFunction, antiderivative_from_zero, derivative
+from .grid import Grid, GridFunction, _interpolant, antiderivative_from_zero, derivative
 
 SINGULAR_TOL = 1e-12
 INVERT_TOL = 1e-8
@@ -280,7 +280,7 @@ def flow_velocity(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]
     return lf.phi, lf.phi_t
 
 
-def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid, wrap: int = 8) -> np.ndarray:
+def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid) -> np.ndarray:
     """Samples of s(phi^{-1}(y)) at the grid nodes.
 
     phi must be nondecreasing with phi(0) = 0 and unit winding
@@ -293,22 +293,31 @@ def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid, wrap:
     interpolation of the extended graph is used instead; it keeps the
     composition monotone where s is, and plateau nodes (degenerate
     phi_x) are dropped so the abscissae stay strictly increasing.
+
+    Cost per call: O(n log n) to oversample phi - x, its slope and s
+    once each (`grid._interpolant`), plus O(n STENCIL) per Newton
+    iteration; O(n STENCIL) memory.
     """
-    bump = GridFunction(grid, phi - grid.x)
-    slope = GridFunction(grid, 1.0 + derivative(bump).values)
-    if slope.values.min() >= NEWTON_SLOPE:
-        xi = grid.x.copy()
+    x = grid.x
+    samples = GridFunction(grid, samples).values
+    bump = GridFunction(grid, phi - x)
+    slope = 1.0 + derivative(bump).values
+    if slope.min() >= NEWTON_SLOPE:
+        at = _interpolant(bump.values, slope)
+        xi = x.copy()
         for _ in range(50):
-            res = xi + bump.eval_at(xi) - grid.x
+            b, sl = at(xi)
+            res = xi + b - x
             if np.abs(res).max() < 1e-13:
                 break
-            xi = xi - res / slope.eval_at(xi)
+            xi = xi - res / sl
         if np.abs(res).max() < 1e-10:
-            return GridFunction(grid, samples).eval_at(xi)
+            return _interpolant(samples)(xi)[0]
+    wrap = 8
     xs = np.concatenate([phi[-wrap:] - 1.0, phi, phi[:wrap] + 1.0])
     ys = np.concatenate([samples[-wrap:], samples, samples[:wrap]])
     keep = np.concatenate([[True], np.diff(xs) > 1e-13])
-    return PchipInterpolator(xs[keep], ys[keep])(grid.x)
+    return PchipInterpolator(xs[keep], ys[keep])(x)
 
 
 def eulerian_fields(s: LagrangianFields) -> tuple[GridFunction, GridFunction]:

@@ -202,6 +202,17 @@ def geodesic(d: InitialData, t: float) -> SpherePoint:
     return SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
 
 
+def geodesic_gap(d: InitialData, t: float) -> GridFunction:
+    """Pointwise f1^2 - f2^2 along the geodesic, the flow Jacobian.
+
+    Taken as the product w_p w_q of the two branch factors, which stays
+    accurate to rounding where the difference of squares of components
+    growing like e^{st} cancels.
+    """
+    (wp, _), (wq, _) = _branch_factors(d, t)
+    return d.grid.function(wp * wq)
+
+
 def geodesic_velocity(d: InitialData, t: float):
     """Time derivative of the geodesic, as a component pair."""
     (_, vp), (_, vq) = _branch_factors(d, t)

@@ -113,6 +113,15 @@ def test_geodesic_artifacts(tmp_path, capsys):
     assert lines[0] == "x,f1,f2"
 
 
+def test_geodesic_gap_free_of_cancellation(capsys):
+    # f1, f2 grow like e^t here; the gap is (1 + e^{-2t}) / 2 exactly
+    code, rep = _run_json(capsys, ["geodesic", "--preset", "fig1c", "--times", "5,10,15,20"])
+    assert code == 0
+    for t, gap in zip(rep["times"], rep["min_gap"]):
+        exact = 0.5 * (1.0 + math.exp(-2.0 * t))
+        assert abs(gap - exact) < 1e-12 * exact
+
+
 def test_geodesic_needs_the_negative_coupling(capsys):
     assert main(["geodesic", "--preset", "fig1b", "--kappa", "1"]) == 2
 

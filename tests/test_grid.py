@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hsgeo.errors import NonZeroMean
 from hsgeo.grid import (
@@ -15,8 +16,49 @@ from hsgeo.grid import (
     mean_zero_project,
     read_csv,
     write_csv,
+    write_table,
+    write_text,
 )
-from conftest import GRID, mean_zero_trig, trig_with_const
+from conftest import GRID, coeff, mean_zero_trig, trig_with_const
+
+
+def _dense_eval(values, pts):
+    """Trigonometric interpolant of the samples at the points, summed mode
+    by mode: O(n) memory and time per point, the reference for eval_at.
+
+    Each phase k y is reduced mod 1 exactly before it is scaled by 2 pi:
+    y splits into a part on the 2^-40 grid, whose products with k <= n/2
+    are exact, and a rest below 2^-41. Plain angles 2 pi k y would lose
+    about n |y| eps, 1e-12 at n = 1024 and |y| = 3.
+    """
+    n = values.size
+    y = np.atleast_1d(np.asarray(pts, dtype=float))
+    c = np.fft.rfft(values) / n
+    c[1 : n // 2] *= 2.0
+    c[n // 2] = c[n // 2].real
+    k = np.arange(n // 2 + 1)
+    hi = np.round(y * 2.0**40) / 2.0**40
+    phase = np.outer(hi, k)
+    phase = phase - np.floor(phase) + np.outer(y - hi, k)
+    return np.cos(2.0 * np.pi * phase) @ c.real - np.sin(2.0 * np.pi * phase) @ c.imag
+
+
+@st.composite
+def spectra_and_points(draw):
+    """Samples of a random spectrum up to and including the Nyquist mode,
+    with its coefficient l1 norm, and points in [-2, 3]: random ones, the
+    grid nodes shifted by whole periods, and one drawn scalar."""
+    n = draw(st.sampled_from([8, 64, 256, 1024]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    c *= draw(st.floats(0.0, 1.0))
+    c[-2] += complex(draw(coeff), draw(coeff))
+    c[-1] = draw(coeff)
+    values = np.fft.irfft(c, n)
+    ch = np.fft.rfft(values) / n
+    l1 = abs(ch[0]) + 2.0 * np.abs(ch[1:-1]).sum() + abs(ch[-1])
+    pts = np.concatenate([rng.uniform(-2.0, 3.0, 64), np.arange(n) / n + rng.integers(-2, 3, n)])
+    return Grid(n).function(values), l1, pts, draw(st.floats(-2.0, 3.0))
 
 
 def test_grid_rejects_small_or_odd_sizes():
@@ -146,6 +188,37 @@ def test_eval_at_reproduces_band_limited():
     pts = np.array([0.05, 0.37, 0.81, 0.99])
     expect = np.sin(4 * np.pi * pts) + 0.3 * np.cos(2 * np.pi * pts)
     assert np.abs(f.eval_at(pts) - expect).max() < 1e-12
+
+
+@given(spectra_and_points())
+def test_eval_at_matches_the_dense_sum(case):
+    f, l1, pts, y = case
+    tol = 1e-12 * l1 + 1e-300  # the floor admits the granularity of subnormal spectra
+    assert np.abs(f.eval_at(pts) - _dense_eval(f.values, pts)).max() <= tol
+    got = f.eval_at(y)
+    assert type(got) is float
+    assert abs(got - _dense_eval(f.values, y)[0]) <= tol
+
+
+def test_write_table_formats_like_per_value_fstrings(tmp_path):
+    cols = [
+        GRID.x[:5],
+        np.array([-0.0, 5e-324, 1e300, -1.0 / 3.0, 2.5]),
+        np.array([0.1, -1e-300, 7.0, np.pi, -2.0]),
+    ]
+    path = tmp_path / "t.csv"
+    write_table(path, "x,a,b", cols)
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
+    assert path.read_bytes() == ("x,a,b\n" + rows).encode()
+
+
+def test_write_text_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "r.txt"
+    write_text(path, "a much longer first text\n" * 3)
+    write_text(path, "short\n")
+    assert path.read_bytes() == b"short\n"
+    write_text(path, "longer than short\n")
+    assert path.read_bytes() == b"longer than short\n"
 
 
 def test_arithmetic_and_norms():

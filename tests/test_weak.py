@@ -1,6 +1,8 @@
 """Global conservative flow for admissible data: invariants and continuation."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +115,22 @@ def test_conserved_integral_of_the_continued_fields():
         u, rho = weak_solution(FIG1C, t)
         ux = derivative(u)
         assert abs(integrate(ux * ux - rho * rho) + 4.0) < 1e-8
+
+
+def test_reconstruction_memory_and_time_stay_linear():
+    # the dense evaluator held n x n/2 angle matrices: over 100 MB and 6-9 s here
+    d = preset("fig1c", 4096)
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        u, rho = weak_solution(d, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 2.0
+    assert peak < 32e6
+    ux = derivative(u)
+    assert abs(integrate(ux * ux - rho * rho) + 4.0) < 1e-8
 
 
 def test_stationary_fields_never_move():
