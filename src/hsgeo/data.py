@@ -80,7 +80,8 @@ class Classification:
 
 def casimir(d: InitialData) -> float:
     """c = (1/4) int(u0x^2 + kappa rho0^2) dx."""
-    return 0.25 * integrate(d.u0x * d.u0x + d.kappa * (d.rho0 * d.rho0))
+    ux = d.u0x
+    return 0.25 * integrate(ux * ux + d.kappa * (d.rho0 * d.rho0))
 
 
 def classify(d: InitialData) -> Classification:

@@ -280,28 +280,31 @@ def flow_velocity(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]
     return lf.phi, lf.phi_t
 
 
-def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid) -> np.ndarray:
+def compose_with_inverse(phi: np.ndarray, samples, grid: Grid) -> np.ndarray:
     """Samples of s(phi^{-1}(y)) at the grid nodes.
 
     phi must be nondecreasing with phi(0) = 0 and unit winding
     (phi(x+1) = phi(x) + 1); samples are the values of s at the same
-    label nodes. Where the map is uniformly nondegenerate the inverse
-    labels are found by Newton iteration on the trigonometric
+    label nodes, one column (n,) or several (k, n), and the result has
+    the same shape. Where the map is uniformly nondegenerate the inverse
+    labels are found once, by Newton iteration on the trigonometric
     interpolant of phi - x, so smooth band-limited inputs compose with
-    spectral accuracy. Otherwise (small or vanishing phi_x, or a map
-    too rough for the iteration to converge) monotone cubic
-    interpolation of the extended graph is used instead; it keeps the
+    spectral accuracy. Otherwise (small or vanishing phi_x, or a map too
+    rough for the iteration to converge) each column is composed by
+    monotone cubic interpolation of the extended graph; it keeps the
     composition monotone where s is, and plateau nodes (degenerate
     phi_x) are dropped so the abscissae stay strictly increasing.
 
-    Cost per call: O(n log n) to oversample phi - x, its slope and s
-    once each (`grid._interpolant`), plus O(n STENCIL) per Newton
+    Cost per call: O(n log n) to oversample phi - x, its slope and each
+    column once (`grid._interpolant`), plus O(n STENCIL) per Newton
     iteration; O(n STENCIL) memory.
     """
     x = grid.x
-    samples = GridFunction(grid, samples).values
+    one = np.ndim(samples) == 1
+    cols = [GridFunction(grid, s).values for s in ([samples] if one else samples)]
     bump = GridFunction(grid, phi - x)
     slope = 1.0 + derivative(bump).values
+    out = None
     if slope.min() >= NEWTON_SLOPE:
         at = _interpolant(bump.values, slope)
         xi = x.copy()
@@ -311,13 +314,16 @@ def compose_with_inverse(phi: np.ndarray, samples: np.ndarray, grid: Grid) -> np
             if np.abs(res).max() < 1e-13:
                 break
             xi = xi - res / sl
+        del at  # free the oversampled map before the columns are oversampled
         if np.abs(res).max() < 1e-10:
-            return _interpolant(samples)(xi)[0]
-    wrap = 8
-    xs = np.concatenate([phi[-wrap:] - 1.0, phi, phi[:wrap] + 1.0])
-    ys = np.concatenate([samples[-wrap:], samples, samples[:wrap]])
-    keep = np.concatenate([[True], np.diff(xs) > 1e-13])
-    return PchipInterpolator(xs[keep], ys[keep])(x)
+            out = _interpolant(*cols)(xi)
+    if out is None:
+        wrap = 8
+        xs = np.concatenate([phi[-wrap:] - 1.0, phi, phi[:wrap] + 1.0])
+        keep = np.concatenate([[True], np.diff(xs) > 1e-13])
+        out = [PchipInterpolator(xs[keep], np.concatenate([s[-wrap:], s, s[:wrap]])[keep])(x)
+               for s in cols]
+    return out[0] if one else np.array(out)
 
 
 def eulerian_fields(s: LagrangianFields) -> tuple[GridFunction, GridFunction]:
@@ -331,8 +337,7 @@ def eulerian_fields(s: LagrangianFields) -> tuple[GridFunction, GridFunction]:
     if s.refuse_degenerate and s.phi_x.min() < INVERT_TOL:
         raise NotInvertible(f"min phi_x = {s.phi_x.min():.3e} below {INVERT_TOL:.0e} at t = {s.t}")
     grid = s.phi.grid
-    u = compose_with_inverse(s.phi.values, s.phi_t.values, grid)
-    rho = compose_with_inverse(s.phi.values, s.rho.values, grid)
+    u, rho = compose_with_inverse(s.phi.values, (s.phi_t.values, s.rho.values), grid)
     u[0] = 0.0
     return GridFunction(grid, u), GridFunction(grid, rho)
 

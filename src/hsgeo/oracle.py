@@ -9,13 +9,14 @@ path in the package.
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .data import InitialData, casimir
-from .engine import blowup_time
+from .engine import blowup_time, eulerian_solution
 from .errors import StepUnstable
-from .grid import GridFunction, a_inverse, derivative, integrate
+from .grid import GridFunction, derivative, integrate
 
 SAFETY_MARGIN = 0.05
 SUP_LIMIT = 1e6
@@ -39,15 +40,32 @@ class OracleConfig:
             raise ValueError("dt must not exceed 0.5/n")
 
 
-def _dealias_mask(n: int) -> np.ndarray:
+def _kernel(n: int, kappa: int, dealias: bool):
+    """The map (u, rho) -> (u_t, rho_t) on sample arrays of the n-point grid.
+
+    With q = u_x^2 + kappa rho^2, the normalized A^{-1} d/dx q is -(P - P(0))
+    for P the periodic antiderivative of q - mean(q) without its Nyquist
+    mode, so u_t = P/2 - u u_x - P(0)/2. The 2/3 rule, when on, filters
+    the three products. Seven FFTs per call: u, u_x, three products,
+    u_t and rho_t.
+    """
     k = np.fft.rfftfreq(n, d=1.0 / n)
-    return k <= n / 3.0
+    ik = 2j * np.pi * k
+    ik[-1] = 0.0  # the Nyquist mode is annihilated to keep derivatives real
+    mask = (k <= n / 3.0) if dealias else np.ones(k.size)
+    half = np.zeros(k.size, dtype=complex)
+    half[1:-1] = 0.5 * mask[1:-1] / ik[1:-1]
+    flux = -ik * mask
 
+    def f(u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ux = np.fft.irfft(ik * np.fft.rfft(u), n)
+        ph = half * np.fft.rfft(ux * ux + kappa * (rho * rho))
+        # half P(0): the value at x = 0 of a spectrum with no mean or Nyquist mode
+        p0 = 2.0 * ph.real.sum() / n
+        ut = np.fft.irfft(ph - mask * np.fft.rfft(u * ux), n) - p0
+        return ut, np.fft.irfft(flux * np.fft.rfft(u * rho), n)
 
-def _filtered(vals: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        return vals
-    return np.fft.irfft(np.fft.rfft(vals) * mask, vals.size)
+    return f
 
 
 def rhs(
@@ -61,63 +79,52 @@ def rhs(
     density mean is preserved exactly by the spatial discretization.
     """
     gr = u.grid
-    mask = _dealias_mask(gr.n) if dealias else None
-    ux = derivative(u)
-    quad = _filtered(ux.values**2 + kappa * rho.values**2, mask)
-    adv = _filtered(u.values * ux.values, mask)
-    flux = _filtered(u.values * rho.values, mask)
-    ut = -adv - 0.5 * a_inverse(derivative(gr.function(quad))).values
-    rhot = -derivative(gr.function(flux)).values
+    ut, rhot = _kernel(gr.n, kappa, dealias)(u.values, rho.values)
     return gr.function(ut), gr.function(rhot)
 
 
-def _step(u: np.ndarray, rho: np.ndarray, dt: float, gr, kappa: int, dealias: bool):
-    def f(uv, rv):
-        du, dr = rhs(gr.function(uv), gr.function(rv), kappa, dealias)
-        return du.values, dr.values
-
+def _step(u: np.ndarray, rho: np.ndarray, dt: float, f):
     k1u, k1r = f(u, rho)
     k2u, k2r = f(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
     k3u, k3r = f(u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r)
     k4u, k4r = f(u + dt * k3u, rho + dt * k3r)
-    un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    rn = rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-    return un, rn
+    return (u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+            rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
 
 
 def _march(d: InitialData, t0: float, t1: float, u, rho, cfg: OracleConfig):
-    gr = d.grid
+    """RK4 steps of cfg.dt from t0, then a remainder step to t1. A field
+    whose sup-norm exceeds 1e6 or is not finite raises StepUnstable."""
+    f = _kernel(d.grid.n, d.kappa, cfg.dealias)
     span = t1 - t0
     nfull = int(math.floor(span / cfg.dt + 1e-12))
     rem = span - nfull * cfg.dt
-    for _ in range(nfull):
-        u, rho = _step(u, rho, cfg.dt, gr, d.kappa, cfg.dealias)
-        if np.abs(u).max() > SUP_LIMIT or np.abs(rho).max() > SUP_LIMIT:
-            raise StepUnstable("field sup-norm exceeded 1e6 during the march")
-    if rem > 1e-12:
-        u, rho = _step(u, rho, rem, gr, d.kappa, cfg.dealias)
-        if np.abs(u).max() > SUP_LIMIT or np.abs(rho).max() > SUP_LIMIT:
-            raise StepUnstable("field sup-norm exceeded 1e6 during the march")
+    for dt in chain(repeat(cfg.dt, nfull), [rem] if rem > 1e-12 else []):
+        u, rho = _step(u, rho, dt, f)
+        if not (np.abs(u).max() <= SUP_LIMIT and np.abs(rho).max() <= SUP_LIMIT):
+            raise StepUnstable("field sup-norm exceeded 1e6 or turned non-finite during the march")
     return u, rho
+
+
+def _breakdown_clock(d: InitialData, t_last: float, cfg: OracleConfig) -> float:
+    """Breakdown time of d. Refuses a config for another grid, and
+    targets within 0.05 of breakdown: close to breaking the spectral
+    representation degrades and the integrator no longer serves as a
+    trustworthy reference."""
+    if d.grid.n != cfg.n:
+        raise ValueError(f"data lives on n = {d.grid.n}, config says n = {cfg.n}")
+    tstar = blowup_time(d)
+    if t_last > tstar - SAFETY_MARGIN:
+        raise ValueError(f"t = {t_last} is past the safety margin before breakdown at {tstar:.6g}")
+    return tstar
 
 
 def evolve(
     d: InitialData, t_end: float, cfg: OracleConfig = OracleConfig()
 ) -> tuple[GridFunction, GridFunction]:
-    """March the system to t_end and return Eulerian (u, rho).
-
-    Refuses targets within 0.05 of the breakdown time: close to
-    breaking the spectral representation degrades and the integrator
-    no longer serves as a trustworthy reference.
-    """
-    if d.grid.n != cfg.n:
-        raise ValueError(f"data lives on n = {d.grid.n}, config says n = {cfg.n}")
-    tstar = blowup_time(d)
-    if t_end > tstar - SAFETY_MARGIN:
-        raise ValueError(
-            f"t_end = {t_end} is past the safety margin before breakdown at {tstar:.6g}"
-        )
-    u, rho = _march(d, 0.0, t_end, d.u0.values.copy(), d.rho0.values.copy(), cfg)
+    """March the system to t_end and return Eulerian (u, rho)."""
+    _breakdown_clock(d, t_end, cfg)
+    u, rho = _march(d, 0.0, t_end, d.u0.values, d.rho0.values, cfg)
     return d.grid.function(u), d.grid.function(rho)
 
 
@@ -133,36 +140,20 @@ def compare(d: InitialData, times, cfg: OracleConfig = OracleConfig()) -> dict:
     Returns a JSON-ready report with per-time L2 and sup errors for
     both fields and the drift of the energy constant.
     """
-    from .engine import eulerian_solution
-
-    if d.grid.n != cfg.n:
-        raise ValueError(f"data lives on n = {d.grid.n}, config says n = {cfg.n}")
-    tstar = blowup_time(d)
     times = sorted(float(t) for t in times)
-    if times and times[-1] > tstar - SAFETY_MARGIN:
-        raise ValueError(
-            f"latest time {times[-1]} is past the safety margin before breakdown"
-        )
+    tstar = _breakdown_clock(d, max(times, default=-math.inf), cfg)
     c0 = casimir(d)
     gr = d.grid
-    u, rho = d.u0.values.copy(), d.rho0.values.copy()
-    t_prev = 0.0
+    u, rho = d.u0.values, d.rho0.values
     rows = []
-    for t in times:
+    for t_prev, t in zip([0.0] + times, times):
         u, rho = _march(d, t_prev, t, u, rho, cfg)
-        t_prev = t
         uo, ro = gr.function(u), gr.function(rho)
         ue, re = eulerian_solution(d, t)
-        rows.append(
-            {
-                "t": t,
-                "l2_u": (uo - ue).l2_norm(),
-                "l2_rho": (ro - re).l2_norm(),
-                "sup_u": (uo - ue).sup_norm(),
-                "sup_rho": (ro - re).sup_norm(),
-                "casimir_drift": abs(_casimir_of(uo, ro, d.kappa) - c0),
-            }
-        )
+        eu, er = uo - ue, ro - re
+        rows.append({"t": t, "l2_u": eu.l2_norm(), "l2_rho": er.l2_norm(),
+                     "sup_u": eu.sup_norm(), "sup_rho": er.sup_norm(),
+                     "casimir_drift": abs(_casimir_of(uo, ro, d.kappa) - c0)})
     return {
         "schema": 1,
         "n": cfg.n,

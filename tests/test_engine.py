@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from hsgeo import engine
 from hsgeo.data import InitialData, normalize, preset
 from hsgeo.engine import (
     blowup_time,
@@ -28,7 +29,7 @@ from hsgeo.engine import (
 from hsgeo.errors import BlowupReached, NotInvertible
 from hsgeo.grid import Grid, GridFunction, antiderivative_from_zero, derivative
 from hsgeo.sphere import boundary_hit_time
-from hsgeo.weak import admissibility
+from hsgeo.weak import admissibility, flow_state
 from conftest import GRID, mean_zero_trig
 
 finite_z = st.floats(-6.0, 6.0, allow_nan=False)
@@ -232,6 +233,25 @@ def test_compose_with_identity_is_a_no_op():
     s = np.cos(2 * np.pi * GRID.x)
     out = compose_with_inverse(GRID.x.copy(), s, GRID)
     assert np.abs(out - s).max() < 1e-12
+
+
+@pytest.mark.parametrize("t, pchip_calls", [(1.0, 0), (2.6, 2), (5.0, 2)])
+def test_columns_share_one_inversion(t, pchip_calls, monkeypatch):
+    # phi_x meets its e^{-2t} floor at x = 1/2: Newton converges at t = 1,
+    # fails at t = 2.6 and is skipped at t = 5 (min phi_x below NEWTON_SLOPE)
+    grid = Grid(512)
+    d = InitialData.from_gradient(
+        grid.sample(lambda x: 2.0 * np.cos(2 * np.pi * x)),
+        grid.sample(lambda x: 2.0 * (1.0 + np.cos(2 * np.pi * x))),
+    )
+    s = flow_state(d, t)
+    pchips = []
+    pchip = engine.PchipInterpolator
+    monkeypatch.setattr(engine, "PchipInterpolator", lambda *a: pchips.append(a) or pchip(*a))
+    both = compose_with_inverse(s.phi.values, (s.phi_t.values, s.rho.values), grid)
+    assert both.shape == (2, 512) and len(pchips) == pchip_calls
+    assert np.array_equal(both[0], compose_with_inverse(s.phi.values, s.phi_t.values, grid))
+    assert np.array_equal(both[1], compose_with_inverse(s.phi.values, s.rho.values, grid))
 
 
 def test_eulerian_time_zero_is_the_data():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hsgeo.data import casimir, preset
+from hsgeo.data import PRESETS, casimir, preset
 from hsgeo.engine import blowup_time, eulerian_positive_kappa, eulerian_solution
+from hsgeo.errors import StepUnstable
 from hsgeo.grid import Grid, a_inverse, derivative, integrate
-from hsgeo.oracle import OracleConfig, compare, evolve, rhs
+from hsgeo.oracle import OracleConfig, _march, compare, evolve, rhs
 from conftest import GRID
 from test_engine import _positive_kappa_data
 
@@ -34,6 +35,55 @@ def test_rhs_reduces_to_the_scalar_equation():
     scalar = -u * ux - 0.5 * a_inverse(derivative(ux * ux))
     assert (ut - scalar).sup_norm() < 1e-13
     assert rt.sup_norm() < 1e-15
+
+
+def _reference_rhs(u, rho, kappa, dealias):
+    """The right-hand side composed from the grid primitives: the 2/3
+    rule filters each product in physical space, then
+    u_t = -u u_x - 1/2 A^{-1} d/dx (u_x^2 + kappa rho^2) and
+    rho_t = -(u rho)_x, at 16 FFTs per call."""
+    gr = u.grid
+    mask = np.fft.rfftfreq(gr.n, d=1.0 / gr.n) <= gr.n / 3.0
+
+    def filtered(vals):
+        return gr.function(np.fft.irfft(np.fft.rfft(vals) * mask, gr.n) if dealias else vals)
+
+    ux = derivative(u)
+    quad = filtered(ux.values**2 + kappa * rho.values**2)
+    adv = filtered(u.values * ux.values)
+    flux = filtered(u.values * rho.values)
+    return -adv - 0.5 * a_inverse(derivative(quad)), -derivative(flux)
+
+
+def _band_limited(gr, rng, top):
+    c = np.zeros(gr.n // 2 + 1, dtype=complex)
+    c[1 : top + 1] = rng.standard_normal(top) + 1j * rng.standard_normal(top)
+    return gr.function(np.fft.irfft(c, gr.n))
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 1024])
+def test_rhs_matches_the_reference_composition(n):
+    gr = Grid(n)
+    rng = np.random.default_rng(n)
+    fields = [(d.u0, d.rho0) for d in (preset(name, n) for name in sorted(PRESETS))]
+    for top in (n // 2, n // 8) * 2:
+        u, rho = _band_limited(gr, rng, top), _band_limited(gr, rng, top)
+        fields.append((u / derivative(u).sup_norm(), rho / rho.sup_norm() + rng.standard_normal()))
+    for u, rho in fields:
+        for kappa in (-1, 1):
+            for dealias in (True, False):
+                got = rhs(u, rho, kappa, dealias)
+                want = _reference_rhs(u, rho, kappa, dealias)
+                for g, w in zip(got, want):
+                    assert (g - w).sup_norm() <= 1e-12 * w.sup_norm()
+
+
+def test_march_refuses_non_finite_fields():
+    # products of 1e160 samples overflow: the first stage turns the fields
+    # into inf and NaN, whose sup-norm compares false against any bound
+    d = preset("fig1c")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepUnstable):
+        _march(d, 0.0, CFG.dt, 1e160 * d.u0.values, 1e160 * d.rho0.values, CFG)
 
 
 def test_time_stepper_matches_the_closed_forms():
