@@ -10,6 +10,7 @@ means the configuration was invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -356,7 +357,9 @@ def _cmd_findim(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     top = argparse.ArgumentParser(
         prog="hs",
         description="Two-component flows, breakdown detection and curvature checks "

@@ -80,8 +80,13 @@ class Classification:
 
 def casimir(d: InitialData) -> float:
     """c = (1/4) int(u0x^2 + kappa rho0^2) dx."""
-    ux = d.u0x
-    return 0.25 * integrate(ux * ux + d.kappa * (d.rho0 * d.rho0))
+    return _casimir(d, d.u0x.values)
+
+
+def _casimir(d: InitialData, u0x: np.ndarray) -> float:
+    """Casimir of d from the samples of its velocity gradient."""
+    r0 = d.rho0.values
+    return 0.25 * float((u0x * u0x + d.kappa * (r0 * r0)).mean())
 
 
 def classify(d: InitialData) -> Classification:
@@ -107,9 +112,9 @@ def normalize(d: InitialData) -> tuple[InitialData, Classification]:
     return scaled, cls
 
 
-def normalized_class(d: InitialData) -> int:
-    """Casimir of data already scaled to c in {1, 0, -1}; raises otherwise."""
-    c = casimir(d)
+def _unit_class(c: float) -> int:
+    """Class of data already scaled to c in {1, 0, -1}, from its Casimir c;
+    raises otherwise."""
     for target in (1, 0, -1):
         if abs(c - target) < 1e-9:
             return target

@@ -10,10 +10,12 @@ complex conjugates u0x +- i rho0 and phi_x = |w_p|^2. Breakdown is the
 first root of a factor, which exists only for slopes below the
 threshold -2 sqrt(-c) (every real slope for c > 0); sampled slopes
 within rounding distance of that threshold are set onto it in one
-place (`_branch_slopes`). Every time-t quantity of the classical flow
-is a `LagrangianFields` state built from the two factors, and one
-reconstruction (`eulerian_fields`) turns any such state, classical or
-weak, into Eulerian fields.
+place (`_branch_slopes`), and every breakdown reader takes them, with
+the class, from one spectral derivative of the datum (`_analysis`).
+Every time-t quantity of the classical flow is a `LagrangianFields`
+state built from the two factors, and one reconstruction
+(`eulerian_fields`) turns any such state, classical or weak, into
+Eulerian fields.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from typing import ClassVar
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .data import InitialData, normalized_class
+from .data import InitialData, _casimir, _unit_class
 from .errors import BlowupReached, NotInvertible, Singular
-from .grid import Grid, GridFunction, _interpolant, antiderivative_from_zero, derivative
+from .grid import EPS, Grid, GridFunction, _interpolant, antiderivative_from_zero, derivative
 
 SINGULAR_TOL = 1e-12
 INVERT_TOL = 1e-8
 NEWTON_SLOPE = 1e-3
 BORDER_TOL = 1e-12  # floor of the slope tolerance in _branch_slopes
-EPS = float(np.finfo(float).eps)
 SCAN_BLOCK = 256  # scan steps evaluated per factor call
 
 
@@ -90,7 +91,7 @@ def _breaking(z: np.ndarray, c: float) -> np.ndarray:
     return (z.imag == 0) & (z.real < _threshold(c))
 
 
-def _branch_slopes(d: InitialData, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _branch_slopes(d: InitialData, c: float, u0x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Initial slopes p0, q0 = u0x +- rho0 of the two factor branches
     (u0x +- i rho0 for kappa = +1), set onto the breakdown threshold
     where they sit within rounding distance of it.
@@ -100,9 +101,9 @@ def _branch_slopes(d: InitialData, c: float) -> tuple[np.ndarray, np.ndarray]:
     threshold -2 sqrt(-c) (or, for kappa = +1, on the real axis) would
     otherwise get spurious huge root times, and the weak flow terms
     growing like sinh^2 t. Slopes within 8 n eps max|z|, and never less
-    than BORDER_TOL, of the threshold are taken to be on it.
+    than BORDER_TOL, of the threshold are taken to be on it. u0x holds
+    the samples of the datum's velocity gradient.
     """
-    u0x = d.u0x.values
     r0 = d.rho0.values
     tol = max(BORDER_TOL, 8.0 * u0x.size * EPS * float((np.abs(u0x) + np.abs(r0)).max()))
     if d.kappa == 1:
@@ -111,6 +112,26 @@ def _branch_slopes(d: InitialData, c: float) -> tuple[np.ndarray, np.ndarray]:
     thr = _threshold(c)
     p0, q0 = u0x + r0, u0x - r0
     return np.where(np.abs(p0 - thr) <= tol, thr, p0), np.where(np.abs(q0 - thr) <= tol, thr, q0)
+
+
+def _analysis(d: InitialData, c="normalized"):
+    """Class of a datum and its branch slopes, from one spectral derivative.
+
+    c chooses the class whose breakdown threshold the slopes are set
+    onto (`_branch_slopes`): "normalized" takes the normalized class and
+    returns it (ValueError for data that is not normalized); "casimir"
+    takes the Casimir itself, as the pseudosphere geodesics of unscaled
+    data need, and returns it; a number is used as given, and the
+    Casimir is returned. Every breakdown reader takes its slopes here,
+    so each call differentiates the datum once.
+    """
+    u0x = d.u0x.values
+    cas = _casimir(d, u0x)
+    if c == "normalized":
+        c = cas = _unit_class(cas)
+    elif c == "casimir":
+        c = cas
+    return cas, _branch_slopes(d, c, u0x)
 
 
 def factor_root_times(z0, c: float) -> np.ndarray:
@@ -140,8 +161,12 @@ def blowup_time(d: InitialData) -> float:
     Computed as the earliest factor root over both characteristic
     branches and all nodes; +inf when no factor ever vanishes.
     """
-    c = normalized_class(d)
-    return float(factor_root_times(np.concatenate(_branch_slopes(d, c)), c).min())
+    return _first_root(*_analysis(d))
+
+
+def _first_root(c: float, slopes) -> float:
+    """Earliest factor root over both branches of slopes."""
+    return float(min(factor_root_times(z, c).min() for z in slopes))
 
 
 def singular_time_literal(d: InitialData) -> float:
@@ -153,29 +178,33 @@ def singular_time_literal(d: InitialData) -> float:
     than the first and can disagree with blowup_time; both are reported
     by the CLI.
     """
-    c = normalized_class(d)
+    c, slopes = _analysis(d)
     picks = []
-    for z in _branch_slopes(d, c):
+    for z in slopes:
         z = z[_breaking(z, c)].real
         if z.size:
             picks.append(z.max() if c == -1 else z.min())
     return float(factor_root_times(np.array(picks), c).min()) if picks else math.inf
 
 
-def _scan_bisect(d: InitialData, c: float, t_max: float, step: float) -> float:
-    """First zero of a factor over all breaking slopes, by scan and
-    bisection; +inf if none before t_max.
+def _scan_bisect(c: float, z: np.ndarray, t_max: float, step: float) -> float:
+    """First zero of a factor over the breaking slopes among z, by scan
+    and multisection; +inf if none before t_max.
 
-    The factors are scanned in steps of `step` for a sign change and
-    the first bracket is refined by 60 bisections, without the
-    closed-form root expressions. Factor roots are always simple (the
-    factor solves a linear second-order equation with unit initial
-    value), so this detects breakdown even where the two branches
-    coincide and min phi_x only touches zero. At each t the factor is
-    affine in the slope, so its minimum over the breaking slopes sits at
-    the smallest or the largest one: only those two are scanned.
+    The factors are scanned in steps of `step` for a sign change, and
+    the first bracket is refined by the same vectorised factor call:
+    SCAN_BLOCK equispaced interior times per call, keeping the first
+    sign change, until no float lies strictly between its ends, whose
+    upper one is returned. The closed-form root expressions are not
+    used. A scan costs one factor call per SCAN_BLOCK steps, the
+    refinement about log(step / ulp) / log(SCAN_BLOCK) calls, 5 to 7 for
+    the default step. Factor roots are always simple (the factor solves
+    a linear second-order equation with unit initial value), so this
+    detects breakdown even where the two branches coincide and min phi_x
+    only touches zero. At each t the factor is affine in the slope, so
+    its minimum over the breaking slopes sits at the smallest or the
+    largest one: only those two are scanned.
     """
-    z = np.concatenate(_branch_slopes(d, c))
     z = z[_breaking(z, c)].real
     if z.size == 0:
         return math.inf
@@ -187,24 +216,25 @@ def _scan_bisect(d: InitialData, c: float, t_max: float, step: float) -> float:
         rows = np.nonzero((w <= 0.0).any(axis=1))[0]
         if rows.size:
             k = rows[0]
-            zz = ends[w[k] <= 0.0]
-            lo = np.full(zz.shape, ts[k - 1] if k else t)
-            hi = np.full(zz.shape, ts[k])
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                neg = factor(zz, c, mid)[0] <= 0.0
-                hi = np.where(neg, mid, hi)
-                lo = np.where(neg, lo, mid)
-            return float(hi.min())
+            ends = ends[w[k] <= 0.0]
+            lo, hi = (ts[k - 1] if k else t), ts[k]
+            while np.nextafter(lo, hi) < hi:
+                ts = np.linspace(lo, hi, SCAN_BLOCK + 2)[1:-1]
+                neg = (factor(ends, c, ts[:, None])[0] <= 0.0).any(axis=1)
+                k = int(neg.argmax()) if neg.any() else SCAN_BLOCK
+                lo, hi = (ts[k - 1] if k else lo), (ts[k] if k < SCAN_BLOCK else hi)
+            return float(hi)
         t = float(ts[-1])
     return math.inf
 
 
 def blowup_time_bisect(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -> float:
-    """Breakdown time of normalized data located by scan and bisection,
-    +inf if none found; independent of the closed-form roots used by
-    blowup_time."""
-    return _scan_bisect(d, normalized_class(d), t_max, step)
+    """Breakdown time of normalized data located by scan and
+    multisection (`_scan_bisect`), +inf if none found; independent of
+    the closed-form roots used by blowup_time."""
+    c, z = _analysis(d)
+    z = np.concatenate(z)
+    return _scan_bisect(c, z, t_max, step)
 
 
 def is_global(d: InitialData) -> bool:
@@ -213,10 +243,8 @@ def is_global(d: InitialData) -> bool:
     Only the c = -1 class admits global solutions; the criterion is the
     pointwise bound |rho0| <= u0x + 2 (both branch slopes stay >= -2).
     """
-    c = normalized_class(d)
-    if c != -1:
-        return False
-    return not _breaking(np.concatenate(_branch_slopes(d, c)), c).any()
+    c, (p0, q0) = _analysis(d)
+    return c == -1 and not (_breaking(p0, c).any() or _breaking(q0, c).any())
 
 
 @dataclass(frozen=True)
@@ -248,21 +276,15 @@ class LagrangianFields:
         return self.phi_tx / self.phi_x
 
 
-def _require_before_blowup(d: InitialData, t: float) -> int:
-    c = normalized_class(d)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    tstar = blowup_time(d)
-    if t >= tstar:
-        raise BlowupReached(f"t = {t} is not below the breakdown time {tstar:.6g}")
-    return c
-
-
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
     """Classical flow state at time t (normalized data): the product
     of the two branch factors, refused at or past breakdown."""
-    c = _require_before_blowup(d, t)
-    p0, q0 = _branch_slopes(d, c)
+    c, (p0, q0) = _analysis(d)
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    tstar = _first_root(c, (p0, q0))
+    if t >= tstar:
+        raise BlowupReached(f"t = {t} is not below the breakdown time {tstar:.6g}")
     wp, wtp = factor(p0, c, t)
     wq, wtq = factor(q0, c, t)
     grid = d.grid

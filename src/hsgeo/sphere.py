@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InitialData, casimir
-from .engine import _branch_slopes, _scan_bisect, factor
+from .data import InitialData
+from .engine import _analysis, _scan_bisect, factor
 from .errors import NotInU
 from .grid import Grid, GridFunction, antiderivative_from_zero, derivative, integrate
 
@@ -185,8 +185,8 @@ def _branch_factors(d: InitialData, t: float):
     """
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
-    c = casimir(d)
-    return [factor(z, c, t) for z in _branch_slopes(d, c)]
+    c, slopes = _analysis(d, "casimir")
+    return [factor(z, c, t) for z in slopes]
 
 
 def geodesic(d: InitialData, t: float) -> SpherePoint:
@@ -223,7 +223,7 @@ def geodesic_velocity(d: InitialData, t: float):
 def boundary_hit_time(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -> float:
     """First time f1^2 - f2^2 vanishes somewhere along the geodesic.
 
-    Located by scan and bisection on the two factor fields f1 +- f2,
+    Located by scan and multisection on the two factor fields f1 +- f2,
     which solve g_tt + c g = 0 with g(0) = 1 and therefore have simple
     roots; this sees tangential exits (vanishing density at the
     breaking node) where min_x of the product only touches zero.
@@ -233,4 +233,6 @@ def boundary_hit_time(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -
     """
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
-    return _scan_bisect(d, casimir(d), t_max, step)
+    c, z = _analysis(d, "casimir")
+    z = np.concatenate(z)
+    return _scan_bisect(c, z, t_max, step)

@@ -14,10 +14,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import InitialData, casimir
+from .data import InitialData
 from .engine import (
     LagrangianFields,
-    _branch_slopes,
+    _analysis,
     _breaking,
     eulerian_fields,
     lagrangian_fields,
@@ -57,11 +57,15 @@ def admissibility(d: InitialData) -> AdmissibilityReport:
     i.e. no branch slope below the breakdown threshold -2, where slopes
     on the threshold up to rounding count as on it.
     """
-    c = casimir(d)
-    cond_a = abs(c + 1.0) <= CASIMIR_TOL
-    p0, q0 = _branch_slopes(d, -1)
+    return _admission(d)[0]
+
+
+def _admission(d: InitialData):
+    """Admissibility report of d and its branch slopes at the threshold -2."""
+    c, (p0, q0) = _analysis(d, -1)
     bad = np.nonzero(_breaking(p0, -1) | _breaking(q0, -1))[0]
-    return AdmissibilityReport(c, cond_a, bad.size == 0, bad.tolist())
+    report = AdmissibilityReport(c, abs(c + 1.0) <= CASIMIR_TOL, bad.size == 0, bad.tolist())
+    return report, (p0, q0)
 
 
 @dataclass(frozen=True)
@@ -95,27 +99,26 @@ class WeakState(LagrangianFields):
             raise ValueError("phi_x fell below the admissible lower bound")
 
 
-def _factor_pieces(d: InitialData):
+def _factor_pieces(p0: np.ndarray, q0: np.ndarray):
     """Nonnegative half-slopes (1 + z0/2) of the two factor branches.
 
-    Slopes on the threshold -2 up to rounding are exactly on it, so
-    their half-slopes are exactly zero: the closed forms are
-    exponentially sensitive to the distinction between critical and
-    nearly critical slopes.
+    The slopes come from `_analysis` at the threshold -2: slopes on it
+    up to rounding are exactly on it, so their half-slopes are exactly
+    zero; the closed forms are exponentially sensitive to the
+    distinction between critical and nearly critical slopes.
     """
-    p0, q0 = _branch_slopes(d, -1)
     return np.maximum(1.0 + 0.5 * p0, 0.0), np.maximum(1.0 + 0.5 * q0, 0.0)
 
 
-def _closed_fields(d: InitialData, t: float):
+def _closed_fields(sp: np.ndarray, sq: np.ndarray, t: float):
     """Nodal building blocks of the flow state at time t.
 
     The mean of the product of the half-slopes is the defect of the
     energy constant from -1; it vanishes identically on admissible data,
     so the measured float residue is projected out before the
-    quadratically grown term enters phi_x.
+    quadratically grown term enters phi_x. sp and sq are the factor
+    half-slopes (`_factor_pieces`).
     """
-    sp, sq = _factor_pieces(d)
     em = math.exp(-t)
     sh = math.sinh(t)
     ch = math.cosh(t)
@@ -126,7 +129,7 @@ def _closed_fields(d: InitialData, t: float):
     phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
     phi_tx = -2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch)
     phi_ttx = 4.0 * em2 - 2.0 * ssum * em2 + r0 * (2.0 * math.cosh(2.0 * t))
-    return sp, sq, em, sh, phi_x, phi_tx, phi_ttx
+    return em, sh, phi_x, phi_tx, phi_ttx
 
 
 def weak_state(d: InitialData, t: float) -> WeakState:
@@ -137,7 +140,7 @@ def weak_state(d: InitialData, t: float) -> WeakState:
     the Wronskian of the two factor branches is constant in time and
     equals rho0.
     """
-    report = admissibility(d)
+    report, slopes = _admission(d)
     if not report.admissible:
         raise NotAdmissible(
             f"data is not admissible for the global weak flow: "
@@ -147,7 +150,9 @@ def weak_state(d: InitialData, t: float) -> WeakState:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     gr = d.grid
-    sp, sq, em, sh, phi_x, phi_tx, _ = _closed_fields(d, t)
+    sp, sq = _factor_pieces(*slopes)
+    del slopes
+    em, sh, phi_x, phi_tx, _ = _closed_fields(sp, sq, t)
     wp = em + sp * sh
     wq = em + sq * sh
     f1 = gr.function(0.5 * (wp + wq))
@@ -164,9 +169,10 @@ def weak_state(d: InitialData, t: float) -> WeakState:
 def flow_state(d: InitialData, t: float) -> LagrangianFields:
     """Flow state at time t: the global weak flow for admissible data,
     the classical closed form otherwise (refused at or past breakdown)."""
-    if admissibility(d).admissible:
+    try:
         return weak_state(d, t)
-    return lagrangian_fields(d, t)
+    except NotAdmissible:
+        return lagrangian_fields(d, t)
 
 
 def energy(s: LagrangianFields) -> float:
@@ -191,7 +197,8 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     state. Zero up to quadrature error for admissible data.
     """
     s = weak_state(d, t)
-    phi_tt = antiderivative_from_zero(d.grid.function(_closed_fields(d, t)[-1]))
+    sp, sq = _factor_pieces(*_analysis(d, -1)[1])
+    phi_tt = antiderivative_from_zero(d.grid.function(_closed_fields(sp, sq, t)[-1]))
     alpha_tt = -d.rho0 * s.phi_tx / (s.phi_x * s.phi_x)
 
     base = GroupElement(s.phi, s.alpha)

@@ -1,6 +1,7 @@
 """Characteristic solver: scalar flows, breakdown detection, field evaluation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from hsgeo import engine
+from hsgeo import data, engine, sphere, weak
 from hsgeo.data import InitialData, normalize, preset
 from hsgeo.engine import (
     blowup_time,
@@ -145,6 +146,119 @@ def test_bisection_confirms_the_closed_forms():
     for name in ("fig1a", "fig1b", "lightlike", "spacelike"):
         d = preset(name)
         assert abs(blowup_time_bisect(d, t_max=3.0) - blowup_time(d)) < 1e-8
+
+
+def _bisect_reference(c, z, t_max=20.0, step=1e-3):
+    """Scan and 60-step bisection: the reference for the multisection of
+    engine._scan_bisect. Same scan; each breaking end slope that changes
+    sign in the first bracket is bisected 60 times, far past the float
+    spacing of a 1e-3 bracket, and the earliest upper end is returned."""
+    z = z[engine._breaking(z, c)].real
+    if z.size == 0:
+        return math.inf
+    ends = np.array([z.min(), z.max()])
+    t = 0.0
+    while t < t_max:
+        ts = np.minimum(t + step * np.arange(1, engine.SCAN_BLOCK + 1), t_max)
+        w = factor(ends, c, ts[:, None])[0]
+        rows = np.nonzero((w <= 0.0).any(axis=1))[0]
+        if rows.size:
+            k = rows[0]
+            zz = ends[w[k] <= 0.0]
+            lo = np.full(zz.shape, ts[k - 1] if k else t)
+            hi = np.full(zz.shape, ts[k])
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                neg = factor(zz, c, mid)[0] <= 0.0
+                hi = np.where(neg, mid, hi)
+                lo = np.where(neg, lo, mid)
+            return float(hi.min())
+        t = float(ts[-1])
+    return math.inf
+
+
+def _family_and_presets(n):
+    grid = Grid(n)
+    base = grid.function(np.cos(2 * np.pi * grid.x))
+    raw = [InitialData.from_gradient(base, base * r) for r in np.linspace(0.0, 3.0, 31)]
+    raw += [InitialData.from_gradient(base, base + s) for s in np.linspace(0.0, 2.5, 26)]
+    for name in ("fig1a", "fig1b", "fig1c", "lightlike", "spacelike", "stationary"):
+        d = preset(name, n)
+        raw += [d, normalize(InitialData(d.u0, d.rho0, 1))[0]]
+    return raw
+
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_multisection_equals_the_bisection_reference(n):
+    finite = 0
+    for raw in _family_and_presets(n):
+        d, _ = normalize(raw)
+        c, z = engine._analysis(d)
+        got = blowup_time_bisect(d)
+        assert got == _bisect_reference(c, np.concatenate(z))
+        finite += math.isfinite(got)
+        if raw.kappa == -1:
+            c, z = engine._analysis(raw, "casimir")
+            assert boundary_hit_time(raw) == _bisect_reference(c, np.concatenate(z))
+    assert finite > 40
+
+
+@pytest.mark.parametrize("c", [-1, 0, 1])
+def test_multisection_takes_the_first_of_two_breaking_ends(c):
+    # both end slopes cross zero inside the same scan step, at different floats
+    z = np.array([-3.0, -3.0 - 1e-7, 0.5 if c < 1 else 3.0])
+    roots = factor_root_times(z[:2], c)
+    assert np.floor(roots / 1e-3)[0] == np.floor(roots / 1e-3)[1]
+    assert roots[0] - roots[1] > 1e-10
+    got = engine._scan_bisect(c, z, 20.0, 1e-3)
+    assert got == _bisect_reference(c, z)
+    assert abs(got - roots[1]) < 4 * math.ulp(roots[1])
+
+
+def test_each_breakdown_reader_differentiates_once(monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return derivative(f)
+
+    for mod in (data, engine, sphere, weak):
+        monkeypatch.setattr(mod, "derivative", counted)
+    grid = Grid(256)
+    base = grid.function(np.cos(2 * np.pi * grid.x))
+    raw = InitialData.from_gradient(base, base * 2.0)
+    d, _ = normalize(raw)
+    readers = [blowup_time, singular_time_literal, blowup_time_bisect, is_global, admissibility]
+    for call, arg in [(f, d) for f in readers] + [(boundary_hit_time, raw)]:
+        calls.clear()
+        call(arg)
+        assert len(calls) == 1, call.__name__
+
+
+def test_breakdown_member_memory_stays_small():
+    # the full per-member chain of the breakdown sweep on a spacelike
+    # member, whose slopes all break. Each reader peaks at about 0.30 MB,
+    # in its one derivative; a blowup_time that root-solves both branches
+    # concatenated peaks at 0.44 MB.
+    grid = Grid(4096)
+    base = grid.function(np.cos(2 * np.pi * grid.x))
+    rho0 = base * 0.5
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        raw = InitialData.from_gradient(base, rho0)
+        d, cls = normalize(raw)
+        assert cls.c > 0
+        blowup_time(d)
+        singular_time_literal(d)
+        blowup_time_bisect(d)
+        is_global(d)
+        admissibility(d)
+        boundary_hit_time(raw)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.36e6
 
 
 def test_literal_first_root_differs_for_crossing_factors():

@@ -144,6 +144,29 @@ def test_a_inverse_rejects_nonzero_mean():
     assert a_inverse(GRID.constant(1.0), demean=True).sup_norm() == 0.0
 
 
+def test_a_inverse_accepts_the_rounding_mean_of_a_large_derivative():
+    # q = u_x^2 + rho^2 for u and rho with unit Fourier coefficients up to
+    # Nyquist at n = 1024; q is periodic, so the mean of q' is rounding only,
+    # but far above the absolute floor
+    grid = Grid(1024)
+    rng = np.random.default_rng(7)
+
+    def field():
+        c = np.exp(2j * np.pi * rng.uniform(size=grid.n // 2 + 1))
+        c[0], c[-1] = 0.0, c[-1].real
+        return grid.function(np.fft.irfft(c, grid.n) * (grid.n / 2))
+
+    u, rho = field(), field()
+    ux = derivative(u)
+    f = derivative(ux * ux + rho * rho)
+    assert abs(integrate(f)) > 1e-10
+    g = a_inverse(f)
+    assert (derivative(derivative(g)) + f).sup_norm() < 1e-12 * f.sup_norm()
+    # the tolerance is 8 n eps max|f|, about 1.8e-12 max|f|: a mean 550 times that is refused
+    with pytest.raises(NonZeroMean):
+        a_inverse(f + 1e-9 * f.sup_norm())
+
+
 @given(mean_zero_trig())
 def test_a_inverse_solves_poisson(f):
     g = a_inverse(f)
