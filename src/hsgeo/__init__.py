@@ -23,15 +23,11 @@ from .engine import (
     LagrangianFields,
     blowup_time,
     blowup_time_bisect,
-    blowup_time_positive_kappa,
     compose_with_inverse,
     eulerian_fields,
-    eulerian_positive_kappa,
     eulerian_solution,
     factor,
     factor_root_times,
-    flow_map_positive_kappa,
-    flow_velocity,
     is_global,
     lagrangian_fields,
     riccati,

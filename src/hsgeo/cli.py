@@ -49,7 +49,7 @@ from .geometry import (
 )
 from .grid import mean_zero_project, write_table, write_text
 from .oracle import OracleConfig, compare
-from .sphere import boundary_hit_time, geodesic, geodesic_gap
+from .sphere import _geodesic_and_gap, boundary_hit_time
 from .weak import admissibility, energy, flow_state
 
 SCHEMA = 1
@@ -177,8 +177,8 @@ def _cmd_geodesic(args) -> int:
     files = []
     mins = []
     for idx, t in enumerate(times):
-        f = geodesic(d, t)
-        mins.append(geodesic_gap(d, t).min())
+        f, gap = _geodesic_and_gap(d, t)
+        mins.append(gap.min())
         if out:
             name = f"sphere_{idx:04d}.csv"
             write_table(out / name, "x,f1,f2", [d.grid.x, f.f1.values, f.f2.values])

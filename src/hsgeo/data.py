@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, antiderivative_from_zero, derivative, integrate
+from .grid import EPS, Grid, GridFunction, antiderivative_from_zero, derivative, integrate
 
 LIGHTLIKE_TOL = 1e-12
+CLASS_TOL = 1e-9  # floor of the unit-class tolerance in _unit_class
 DEFAULT_N = 256
 
 
@@ -112,12 +113,21 @@ def normalize(d: InitialData) -> tuple[InitialData, Classification]:
     return scaled, cls
 
 
-def _unit_class(c: float) -> int:
-    """Class of data already scaled to c in {1, 0, -1}, from its Casimir c;
-    raises otherwise."""
-    for target in (1, 0, -1):
-        if abs(c - target) < 1e-9:
-            return target
+def _unit_class(d: InitialData, u0x: np.ndarray, c: float) -> int:
+    """Class of data already scaled to c in {1, 0, -1}, from its Casimir c
+    and the samples u0x of its velocity gradient; raises otherwise.
+
+    c is a mean of terms of size (1/4) mean(u0x^2 + rho0^2) and carries
+    their rounding, which exceeds any fixed tolerance on a nearly
+    lightlike datum scaled up to |c| = 1; c is therefore matched within
+    8 n eps (1/4) mean(u0x^2 + rho0^2), and never less than CLASS_TOL
+    (the size is only summed when c misses CLASS_TOL).
+    """
+    target = min((1, 0, -1), key=lambda k: abs(c - k))
+    miss = abs(c - target)
+    r0 = d.rho0.values
+    if miss <= CLASS_TOL or miss <= 2.0 * u0x.size * EPS * float((u0x * u0x + r0 * r0).mean()):
+        return target
     raise ValueError(f"data is not normalized (c = {c:.6g}); call normalize() first")
 
 

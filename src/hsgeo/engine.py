@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .data import InitialData, _casimir, _unit_class
 from .errors import BlowupReached, NotInvertible, Singular
@@ -33,9 +32,12 @@ from .grid import EPS, Grid, GridFunction, _interpolant, antiderivative_from_zer
 
 SINGULAR_TOL = 1e-12
 INVERT_TOL = 1e-8
-NEWTON_SLOPE = 1e-3
+INVERT_ITERS = 100  # bound on the safeguarded Newton iterations of _invert
+INVERT_ULPS = 4  # residual or step, in rounding units, at which a label stops
 BORDER_TOL = 1e-12  # floor of the slope tolerance in _branch_slopes
 SCAN_BLOCK = 256  # scan steps evaluated per factor call
+# kept for perfbench/tracer.py install(), which wraps it to count fallback inversions (none left)
+PchipInterpolator = None
 
 
 def factor(z0, c: float, t):
@@ -128,7 +130,7 @@ def _analysis(d: InitialData, c="normalized"):
     u0x = d.u0x.values
     cas = _casimir(d, u0x)
     if c == "normalized":
-        c = cas = _unit_class(cas)
+        c = cas = _unit_class(d, u0x, cas)
     elif c == "casimir":
         c = cas
     return cas, _branch_slopes(d, c, u0x)
@@ -296,10 +298,51 @@ def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
     )
 
 
-def flow_velocity(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]:
-    """Flow map and its time derivative (velocity along the labels)."""
-    lf = lagrangian_fields(d, t)
-    return lf.phi, lf.phi_t
+def _invert(phi: np.ndarray, grid: Grid) -> np.ndarray:
+    """Labels xi with phi(xi) = x_j at the grid nodes, for a
+    nondecreasing phi with phi(0) = 0 and unit winding.
+
+    The node values of phi bracket each label between two adjacent grid
+    labels (`searchsorted`). Newton iteration on the trigonometric
+    interpolant of phi - x and its slope (`grid._interpolant`) starts
+    from the secant of the bracket; a step that leaves the bracket is
+    replaced by its midpoint, and every residual shrinks the bracket by
+    its sign, so degenerate labels (phi_x at or near zero) converge too.
+    A label stops once its residual or its step is a few rounding units;
+    converged labels leave the active set. NotInvertible is raised if
+    some label has not converged within INVERT_ITERS iterations.
+
+    Cost per call: O(n log n) to oversample phi - x and its slope, plus
+    O(n STENCIL) per iteration over the labels still active; O(n STENCIL)
+    memory.
+    """
+    x = grid.x
+    bump = GridFunction(grid, phi - x)
+    at = _interpolant(bump.values, 1.0 + derivative(bump).values)
+    ends = np.append(phi, phi[0] + 1.0)
+    k = np.clip(np.searchsorted(ends, x, side="right"), 1, grid.n)
+    lo, hi = (k - 1) * grid.h, k * grid.h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (x - ends[k - 1]) / (ends[k] - ends[k - 1])
+    xi = lo + grid.h * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+    act = np.arange(grid.n)
+    for _ in range(INVERT_ITERS):
+        pt = xi[act]
+        b, sl = at(pt)
+        res = pt + b - x[act]
+        above = res > 0.0
+        lo[act] = left = np.where(above, lo[act], pt)
+        hi[act] = right = np.where(above, pt, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = pt - res / sl
+        out = ~((new >= left) & (new <= right))
+        new[out] = 0.5 * (left + right)[out]
+        xi[act] = new
+        done = (np.abs(res) <= INVERT_ULPS * EPS) | (np.abs(new - pt) <= INVERT_ULPS * EPS)
+        act = act[~done]
+        if act.size == 0:
+            return xi
+    raise NotInvertible(f"{act.size} inverse labels unconverged after {INVERT_ITERS} iterations")
 
 
 def compose_with_inverse(phi: np.ndarray, samples, grid: Grid) -> np.ndarray:
@@ -308,99 +351,41 @@ def compose_with_inverse(phi: np.ndarray, samples, grid: Grid) -> np.ndarray:
     phi must be nondecreasing with phi(0) = 0 and unit winding
     (phi(x+1) = phi(x) + 1); samples are the values of s at the same
     label nodes, one column (n,) or several (k, n), and the result has
-    the same shape. Where the map is uniformly nondegenerate the inverse
-    labels are found once, by Newton iteration on the trigonometric
-    interpolant of phi - x, so smooth band-limited inputs compose with
-    spectral accuracy. Otherwise (small or vanishing phi_x, or a map too
-    rough for the iteration to converge) each column is composed by
-    monotone cubic interpolation of the extended graph; it keeps the
-    composition monotone where s is, and plateau nodes (degenerate
-    phi_x) are dropped so the abscissae stay strictly increasing.
+    the same shape. The inverse labels are found once (`_invert`), and
+    every column is evaluated there through its trigonometric
+    interpolant, so band-limited inputs compose with spectral accuracy,
+    also where phi_x vanishes.
 
-    Cost per call: O(n log n) to oversample phi - x, its slope and each
-    column once (`grid._interpolant`), plus O(n STENCIL) per Newton
-    iteration; O(n STENCIL) memory.
+    Cost per call: O(n log n) per column plus the inversion.
     """
-    x = grid.x
     one = np.ndim(samples) == 1
     cols = [GridFunction(grid, s).values for s in ([samples] if one else samples)]
-    bump = GridFunction(grid, phi - x)
-    slope = 1.0 + derivative(bump).values
-    out = None
-    if slope.min() >= NEWTON_SLOPE:
-        at = _interpolant(bump.values, slope)
-        xi = x.copy()
-        for _ in range(50):
-            b, sl = at(xi)
-            res = xi + b - x
-            if np.abs(res).max() < 1e-13:
-                break
-            xi = xi - res / sl
-        del at  # free the oversampled map before the columns are oversampled
-        if np.abs(res).max() < 1e-10:
-            out = _interpolant(*cols)(xi)
-    if out is None:
-        wrap = 8
-        xs = np.concatenate([phi[-wrap:] - 1.0, phi, phi[:wrap] + 1.0])
-        keep = np.concatenate([[True], np.diff(xs) > 1e-13])
-        out = [PchipInterpolator(xs[keep], np.concatenate([s[-wrap:], s, s[:wrap]])[keep])(x)
-               for s in cols]
+    xi = _invert(phi, grid)  # its brackets are freed before the columns are oversampled
+    out = _interpolant(*cols)(xi)
     return out[0] if one else np.array(out)
 
 
 def eulerian_fields(s: LagrangianFields) -> tuple[GridFunction, GridFunction]:
     """(u, rho) on the fixed spatial grid from a flow state.
 
-    The velocity phi_t and the density rho0 / phi_x are composed with
-    the inverse flow map, and u(0) is pinned to 0 (phi(0) = 0 and
-    phi_t(0) = 0). A classical state with min phi_x below INVERT_TOL is
-    refused.
+    The velocity phi_t, the initial density rho0 = rho phi_x and phi_x
+    are composed with the inverse flow map, and rho is rho0 / phi_x at
+    the inverse labels: the ratio itself is not band-limited once phi_x
+    is tiny, and composing it loses rho to 3e-3 at t = 5 on a datum
+    whose phi_x meets its e^{-2t} floor. u(0) is pinned to 0
+    (phi(0) = 0 and phi_t(0) = 0). A classical state with min phi_x
+    below INVERT_TOL is refused.
     """
     if s.refuse_degenerate and s.phi_x.min() < INVERT_TOL:
         raise NotInvertible(f"min phi_x = {s.phi_x.min():.3e} below {INVERT_TOL:.0e} at t = {s.t}")
     grid = s.phi.grid
-    u, rho = compose_with_inverse(s.phi.values, (s.phi_t.values, s.rho.values), grid)
+    px = s.phi_x.values
+    cols = (s.phi_t.values, s.rho.values * px, px)
+    u, rho0, phi_x = compose_with_inverse(s.phi.values, cols, grid)
     u[0] = 0.0
-    return GridFunction(grid, u), GridFunction(grid, rho)
+    return GridFunction(grid, u), GridFunction(grid, rho0 / phi_x)
 
 
 def eulerian_solution(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]:
     """(u, rho) on the fixed spatial grid, by inverting the flow map."""
     return eulerian_fields(lagrangian_fields(d, t))
-
-
-def _require_positive_kappa(d: InitialData) -> None:
-    if d.kappa != 1:
-        raise ValueError("this is the kappa = +1 branch")
-
-
-def flow_map_positive_kappa(d: InitialData, t: float):
-    """Flow map for the kappa = +1 coupling, normalized to c = 1.
-
-    phi_x = |cos t + (z0/2) sin t|^2 with z0 = u0x + i rho0; it only
-    vanishes where the density does. Returns (phi, phi_t, phi_x).
-    """
-    _require_positive_kappa(d)
-    lf = lagrangian_fields(d, t)
-    return lf.phi, lf.phi_t, lf.phi_x
-
-
-def blowup_time_positive_kappa(d: InitialData) -> float:
-    """First degeneracy of the kappa = +1 flow map, +inf if none.
-
-    The complex factor only vanishes at nodes where the density is
-    zero, through the root of its real part there; everywhere else the
-    density keeps the Jacobian positive.
-    """
-    _require_positive_kappa(d)
-    return blowup_time(d)
-
-
-def eulerian_positive_kappa(d: InitialData, t: float) -> tuple[GridFunction, GridFunction]:
-    """(u, rho) for kappa = +1 via the flow map and mass transport.
-
-    The continuity equation gives rho along the flow as rho0/phi_x
-    regardless of the coupling sign.
-    """
-    _require_positive_kappa(d)
-    return eulerian_solution(d, t)

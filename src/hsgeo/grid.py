@@ -175,7 +175,7 @@ def _interpolant(*columns: np.ndarray):
         hit = np.abs(dist) < 2.0**-60
         node = hit.any(axis=1)
         dist[hit] = 1.0
-        q = _WEIGHTS / dist
+        q = np.divide(_WEIGHTS, dist, out=dist)  # in place: one (len(pts), STENCIL) array less
         q[node] = hit[node]
         start = np.nan_to_num(np.mod(base, m)).astype(np.intp)
         idx = start[:, None] + np.arange(STENCIL)

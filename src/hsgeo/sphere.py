@@ -189,6 +189,15 @@ def _branch_factors(d: InitialData, t: float):
     return [factor(z, c, t) for z in slopes]
 
 
+def _geodesic_and_gap(d: InitialData, t: float) -> tuple[SpherePoint, GridFunction]:
+    """The geodesic point and its gap at time t from one evaluation of
+    the branch factors (`geodesic`, `geodesic_gap`)."""
+    (wp, _), (wq, _) = _branch_factors(d, t)
+    gr = d.grid
+    f = SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
+    return f, gr.function(wp * wq)
+
+
 def geodesic(d: InitialData, t: float) -> SpherePoint:
     """Geodesic from the chart image of the identity with initial
     velocity (u0x, rho0)/2.
@@ -197,9 +206,7 @@ def geodesic(d: InitialData, t: float) -> SpherePoint:
     quarter-energy of the datum; no normalization of the datum is
     assumed. Only kappa = -1 data ride the indefinite pairing.
     """
-    (wp, _), (wq, _) = _branch_factors(d, t)
-    gr = d.grid
-    return SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
+    return _geodesic_and_gap(d, t)[0]
 
 
 def geodesic_gap(d: InitialData, t: float) -> GridFunction:
@@ -209,8 +216,7 @@ def geodesic_gap(d: InitialData, t: float) -> GridFunction:
     accurate to rounding where the difference of squares of components
     growing like e^{st} cancels.
     """
-    (wp, _), (wq, _) = _branch_factors(d, t)
-    return d.grid.function(wp * wq)
+    return _geodesic_and_gap(d, t)[1]
 
 
 def geodesic_velocity(d: InitialData, t: float):

@@ -3,11 +3,18 @@
 import filecmp
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hsgeo
+from hsgeo import data, engine, sphere, weak
 from hsgeo.cli import main
+from hsgeo.grid import derivative
 
 
 def _run_json(capsys, argv):
@@ -79,6 +86,34 @@ def test_simulate_from_scenario_file(tmp_path, capsys):
     assert rep["admissible"] is True
 
 
+@pytest.mark.parametrize("n, t", [(512, 2.6), (512, 5.0), (4096, 5.0)])
+def test_simulate_through_a_degenerate_flow_map(tmp_path, capsys, n, t):
+    # u0x = a cos 2 pi x, rho0 = a cos 2 pi x + 2 with a = 2: phi_x meets
+    # its e^{-2t} floor at x = 1/2, and the weak flow is explicit,
+    # phi = x + (1 - e^{-2t}) a sin(2 pi x) / (4 pi),
+    # u(t, phi) = e^{-2t} a sin(2 pi x) / (2 pi)
+    a = 2.0
+    doc = {"u0x": {"cos": {"1": a}}, "rho0": {"const": 2.0, "cos": {"1": a}}, "n": n}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    code, _ = _run_json(capsys, ["simulate", "--scenario", str(path), "--times", repr(t),
+                                 "--out", str(out)])
+    assert code == 0
+    table = np.loadtxt(out / "state_0000.csv", delimiter=",", skiprows=1)
+    y, u = table[:, 0], table[:, 1]
+    amp = (1.0 - math.exp(-2.0 * t)) * a / (4.0 * math.pi)
+    lo, hi = y - amp, y + amp
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        right = mid + amp * np.sin(2 * np.pi * mid) >= y
+        lo, hi = np.where(right, lo, mid), np.where(right, mid, hi)
+    x = 0.5 * (lo + hi)
+    exact = math.exp(-2.0 * t) * a * np.sin(2 * np.pi * x) / (2 * np.pi)
+    # relative to sup|u| = e^{-2t} a / (2 pi), which is 1.4e-5 at t = 5
+    assert np.abs(u - exact).max() < 1e-10 * np.abs(exact).max()
+
+
 def test_blowup_report(capsys):
     code, rep = _run_json(capsys, ["blowup", "--preset", "fig1a"])
     assert code == 0
@@ -120,6 +155,21 @@ def test_geodesic_gap_free_of_cancellation(capsys):
     for t, gap in zip(rep["times"], rep["min_gap"]):
         exact = 0.5 * (1.0 + math.exp(-2.0 * t))
         assert abs(gap - exact) < 1e-12 * exact
+
+
+def test_geodesic_evaluates_its_branch_factors_once_per_frame(monkeypatch, capsys):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return derivative(f)
+
+    for mod in (data, engine, sphere, weak):
+        monkeypatch.setattr(mod, "derivative", counted)
+    code, _ = _run_json(capsys, ["geodesic", "--preset", "fig1c", "--times", "0,1,2,3"])
+    assert code == 0
+    # one per frame, one for boundary_hit_time and one for the casimir
+    assert len(calls) <= 6
 
 
 def test_geodesic_needs_the_negative_coupling(capsys):
@@ -211,3 +261,12 @@ def test_state_table_has_full_precision(tmp_path, capsys):
     rho = np.array([float(r.split(",")[2]) for r in rows])
     x = np.arange(256) / 256
     assert np.abs(rho - (np.cos(2 * np.pi * x) + 2.0)).max() < 1e-15
+
+
+def test_import_leaves_scipy_unloaded():
+    code = ("import sys, hsgeo, hsgeo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(hsgeo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

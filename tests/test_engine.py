@@ -14,14 +14,10 @@ from hsgeo.data import InitialData, normalize, preset
 from hsgeo.engine import (
     blowup_time,
     blowup_time_bisect,
-    blowup_time_positive_kappa,
     compose_with_inverse,
-    eulerian_positive_kappa,
     eulerian_solution,
     factor,
     factor_root_times,
-    flow_map_positive_kappa,
-    flow_velocity,
     is_global,
     lagrangian_fields,
     riccati,
@@ -318,12 +314,11 @@ def test_fields_refuse_times_past_breakdown():
 def test_flow_velocity_is_the_time_derivative_of_the_flow():
     d = preset("fig1c")
     h = 1e-6
-    phi, phi_t = flow_velocity(d, 0.8)
+    phi_t = lagrangian_fields(d, 0.8).phi_t
     lp = lagrangian_fields(d, 0.8 + h)
     lm = lagrangian_fields(d, 0.8 - h)
     fd = (lp.phi.values - lm.phi.values) / (2 * h)
     assert np.abs(phi_t.values - fd).max() < 1e-8
-    assert (phi - lagrangian_fields(d, 0.8).phi).sup_norm() < 1e-14
 
 
 @given(mean_zero_trig(modes=3))
@@ -349,23 +344,38 @@ def test_compose_with_identity_is_a_no_op():
     assert np.abs(out - s).max() < 1e-12
 
 
-@pytest.mark.parametrize("t, pchip_calls", [(1.0, 0), (2.6, 2), (5.0, 2)])
-def test_columns_share_one_inversion(t, pchip_calls, monkeypatch):
-    # phi_x meets its e^{-2t} floor at x = 1/2: Newton converges at t = 1,
-    # fails at t = 2.6 and is skipped at t = 5 (min phi_x below NEWTON_SLOPE)
+@pytest.mark.parametrize("t", [1.0, 2.6, 5.0])
+def test_columns_share_one_inversion(t):
+    # phi_x meets its e^{-2t} floor at x = 1/2
     grid = Grid(512)
     d = InitialData.from_gradient(
         grid.sample(lambda x: 2.0 * np.cos(2 * np.pi * x)),
         grid.sample(lambda x: 2.0 * (1.0 + np.cos(2 * np.pi * x))),
     )
     s = flow_state(d, t)
-    pchips = []
-    pchip = engine.PchipInterpolator
-    monkeypatch.setattr(engine, "PchipInterpolator", lambda *a: pchips.append(a) or pchip(*a))
     both = compose_with_inverse(s.phi.values, (s.phi_t.values, s.rho.values), grid)
-    assert both.shape == (2, 512) and len(pchips) == pchip_calls
+    assert both.shape == (2, 512)
     assert np.array_equal(both[0], compose_with_inverse(s.phi.values, s.phi_t.values, grid))
     assert np.array_equal(both[1], compose_with_inverse(s.phi.values, s.rho.values, grid))
+
+
+def test_compose_through_a_vanishing_slope():
+    # phi_x = 1 - cos 2 pi x is exactly zero at the node x = 0, where the
+    # inverse has a cube-root cusp; x - phi is band-limited, so composing
+    # it gives the inverse labels xi = y + (x - phi)(xi) at rounding
+    grid = Grid(256)
+    y = grid.x
+    phi = y - np.sin(2 * np.pi * y) / (2 * np.pi)
+    xi = y + compose_with_inverse(phi, y - phi, grid)
+    assert np.abs(xi - np.sin(2 * np.pi * xi) / (2 * np.pi) - y).max() < 1e-12
+
+
+def test_unconverged_inversion_is_refused(monkeypatch):
+    grid = Grid(64)
+    phi = grid.x + 0.1 * np.sin(2 * np.pi * grid.x) / (2 * np.pi)
+    monkeypatch.setattr(engine, "INVERT_ITERS", 1)
+    with pytest.raises(NotInvertible):
+        compose_with_inverse(phi, np.cos(2 * np.pi * grid.x), grid)
 
 
 def test_eulerian_time_zero_is_the_data():
@@ -400,28 +410,23 @@ def _positive_kappa_data(rho_mult=1.0, rho_shift=2.0):
 
 def test_positive_kappa_flow_map_initial_conditions():
     d = _positive_kappa_data()
-    phi, phi_t, phi_x = flow_map_positive_kappa(d, 0.0)
-    assert np.abs(phi.values - GRID.x).max() < 1e-13
-    assert (phi_x - GRID.constant(1.0)).sup_norm() < 1e-13
-    assert (phi_t - d.u0).sup_norm() < 1e-13
+    lf = lagrangian_fields(d, 0.0)
+    assert np.abs(lf.phi.values - GRID.x).max() < 1e-13
+    assert (lf.phi_x - GRID.constant(1.0)).sup_norm() < 1e-13
+    assert (lf.phi_t - d.u0).sup_norm() < 1e-13
 
 
 def test_positive_kappa_breakdown_needs_a_bare_node():
-    assert blowup_time_positive_kappa(_positive_kappa_data()) == math.inf
+    assert blowup_time(_positive_kappa_data()) == math.inf
 
 
 def test_positive_kappa_breakdown_where_density_vanishes():
     d = _positive_kappa_data(rho_mult=3.0, rho_shift=0.0)
-    assert abs(blowup_time_positive_kappa(d) - math.pi / 2) < 1e-12
-
-
-def test_positive_kappa_guard_on_sign():
-    with pytest.raises(ValueError):
-        blowup_time_positive_kappa(preset("fig1a"))
+    assert abs(blowup_time(d) - math.pi / 2) < 1e-12
 
 
 def test_positive_kappa_eulerian_time_zero():
     d = _positive_kappa_data()
-    u, rho = eulerian_positive_kappa(d, 0.0)
+    u, rho = eulerian_solution(d, 0.0)
     assert (u - d.u0).sup_norm() < 1e-12
     assert (rho - d.rho0).sup_norm() < 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsgeo.data import PRESETS, casimir, preset
-from hsgeo.engine import blowup_time, eulerian_positive_kappa, eulerian_solution
+from hsgeo.engine import blowup_time, eulerian_solution
 from hsgeo.errors import StepUnstable
 from hsgeo.grid import Grid, a_inverse, derivative, integrate
 from hsgeo.oracle import OracleConfig, _march, compare, evolve, rhs
@@ -107,7 +107,7 @@ def test_positive_kappa_engine_against_the_stepper():
     d = _positive_kappa_data()
     cfg = OracleConfig(n=64, dt=1e-3)
     uo, ro = evolve(d, 0.3, cfg)
-    ue, re = eulerian_positive_kappa(d, 0.3)
+    ue, re = eulerian_solution(d, 0.3)
     assert max((uo - ue).l2_norm(), (ro - re).l2_norm()) < 1e-6
 
 
