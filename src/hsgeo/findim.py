@@ -23,6 +23,103 @@ from .errors import DegeneratePlane
 SURFACE_TOL = 1e-12
 TANGENT_TOL = 1e-12
 HORIZONTAL_TOL = 1e-9
+DEGENERATE_TOL = 1e-12
+NULL_TOL = 1e-2  # |g(X, X)| below which holomorphic_sec skips X as nearly null
+
+# -- kernels -------------------------------------------------------------------
+#
+# Points and tangent vectors enter the kernels as arrays whose last axis
+# holds the 2(n+1) ambient coordinates (x, y), with any number of sample
+# axes in front; a batch of S samples is an (S, 2(n+1)) array. The public
+# classes and functions below are wrappers over these kernels.
+
+
+def _xy(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m = a.shape[-1] // 2
+    return a[..., :m], a[..., m:]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row by row through matmul, which takes each row through the same
+    # dot product as a 1-D a @ b: batched and single values agree bit for bit
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _g(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    (ax, ay), (bx, by) = _xy(a), _xy(b)
+    return _dot(ax, bx) - _dot(ay, by)
+
+
+def _omega(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    (ax, ay), (bx, by) = _xy(a), _xy(b)
+    return _dot(-ay, bx) + _dot(ax, by)
+
+
+def _j(a: np.ndarray) -> np.ndarray:
+    # (x, y) -> (-y, -x): J on vectors, the vertical field on points
+    x, y = _xy(a)
+    return np.concatenate([-y, -x], axis=-1)
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    x, y = _xy(a)
+    return np.abs(x).max(axis=-1, initial=0.0) + np.abs(y).max(axis=-1, initial=0.0)
+
+
+def _split(t: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v = _j(p)
+    c = _g(t, v)[..., None]
+    return -c * v, t + c * v
+
+
+def _horizontal_part(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # an ambient vector projected to the tangent space at p, then split
+    return _split(w - _g(w, p) * p, p)[1]
+
+
+def _check_surface(p: np.ndarray) -> None:
+    x, y = _xy(p)
+    xx, yy = _dot(x, x), _dot(y, y)
+    r = xx - yy
+    off = np.abs(r - 1.0) > SURFACE_TOL * np.maximum(1.0, xx + yy)
+    if off.any():
+        raise ValueError(f"point is off the quadric by {r[off].flat[0] - 1.0:.3e}")
+
+
+def _check_tangent(t: np.ndarray, p: np.ndarray) -> None:
+    pairing = _g(t, p)
+    off = np.abs(pairing) > TANGENT_TOL * np.maximum(1.0, _norm(t))
+    if off.any():
+        raise ValueError(f"vector is not tangent (pairing {pairing[off].flat[0]:.3e})")
+
+
+def _sec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    gab = _g(a, b)
+    den = _g(a, a) * _g(b, b) - gab * gab
+    scale = np.maximum(_norm(a), 1.0) ** 2 * np.maximum(_norm(b), 1.0) ** 2
+    flat = np.abs(den) < DEGENERATE_TOL * scale
+    if flat.any():
+        raise DegeneratePlane(f"plane area^2 = {den[flat].flat[0]:.3e}")
+    om = _omega(a, b)
+    return (den - 3.0 * om * om) / den
+
+
+def _draw_point(n: int, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        p = rng.standard_normal(2 * (n + 1))
+        r = _g(p, p)
+        if r > 0.1:
+            return p / np.sqrt(r)
+
+
+def _draw_horizontal(p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        h = _horizontal_part(rng.standard_normal(p.size), p)
+        if _norm(h) > 0.1:
+            return h
+
+
+# -- public API -----------------------------------------------------------------
 
 
 def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -39,6 +136,10 @@ def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _vec(t) -> np.ndarray:
+    return np.concatenate([t.x, t.y])
+
+
 @dataclass(frozen=True)
 class FinPoint:
     """Point of the quadric sum(x^2) - sum(y^2) = 1."""
@@ -48,10 +149,7 @@ class FinPoint:
 
     def __post_init__(self):
         x, y = _pair(self.x, self.y)
-        r = float(x @ x - y @ y)
-        scale = max(1.0, float(x @ x + y @ y))
-        if abs(r - 1.0) > SURFACE_TOL * scale:
-            raise ValueError(f"point is off the quadric by {r - 1.0:.3e}")
+        _check_surface(np.concatenate([x, y]))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -72,10 +170,7 @@ class FinTangent:
         x, y = _pair(self.x, self.y)
         if x.shape != self.base.x.shape:
             raise ValueError("tangent and base dimensions differ")
-        pairing = float(x @ self.base.x - y @ self.base.y)
-        scale = max(1.0, float(np.abs(x).max() + np.abs(y).max()))
-        if abs(pairing) > TANGENT_TOL * scale:
-            raise ValueError(f"vector is not tangent (pairing {pairing:.3e})")
+        _check_tangent(np.concatenate([x, y]), _vec(self.base))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -84,7 +179,12 @@ class FinTangent:
         return self.x.size - 1
 
     def norm(self) -> float:
-        return float(np.abs(self.x).max(initial=0.0) + np.abs(self.y).max(initial=0.0))
+        return float(_norm(_vec(self)))
+
+
+def _tangent(a: np.ndarray, base: FinPoint) -> FinTangent:
+    x, y = _xy(a)
+    return FinTangent(x, y, base)
 
 
 def _same_base(t: FinTangent, s: FinTangent) -> None:
@@ -95,12 +195,12 @@ def _same_base(t: FinTangent, s: FinTangent) -> None:
 def fin_metric(t: FinTangent, s: FinTangent) -> float:
     """Split-signature inner product sum(x x') - sum(y y')."""
     _same_base(t, s)
-    return float(t.x @ s.x - t.y @ s.y)
+    return float(_g(_vec(t), _vec(s)))
 
 
 def vertical_field(p: FinPoint) -> FinTangent:
     """Generator of the hyperbolic rotation orbit through p; g(V, V) = -1."""
-    return FinTangent(-p.y, -p.x, p)
+    return _tangent(_j(_vec(p)), p)
 
 
 def split(t: FinTangent) -> tuple[FinTangent, FinTangent]:
@@ -110,16 +210,13 @@ def split(t: FinTangent) -> tuple[FinTangent, FinTangent]:
     the vertical part is -g(T, V) V and the horizontal remainder is
     g-orthogonal to V.
     """
-    v = vertical_field(t.base)
-    c = fin_metric(t, v)
-    vert = FinTangent(-c * v.x, -c * v.y, t.base)
-    horiz = FinTangent(t.x + c * v.x, t.y + c * v.y, t.base)
-    return vert, horiz
+    vert, horiz = _split(_vec(t), _vec(t.base))
+    return _tangent(vert, t.base), _tangent(horiz, t.base)
 
 
 def is_horizontal(t: FinTangent) -> bool:
-    v = vertical_field(t.base)
-    return abs(fin_metric(t, v)) <= HORIZONTAL_TOL * max(1.0, t.norm())
+    a = _vec(t)
+    return bool(abs(_g(a, _j(_vec(t.base)))) <= HORIZONTAL_TOL * max(1.0, _norm(a)))
 
 
 def j_action(t: FinTangent) -> FinTangent:
@@ -129,13 +226,13 @@ def j_action(t: FinTangent) -> FinTangent:
     vectors to tangent vectors only on the horizontal subspace; for a
     non-horizontal input the tangency check of the result fires.
     """
-    return FinTangent(-t.y, -t.x, t.base)
+    return _tangent(_j(_vec(t)), t.base)
 
 
 def fin_omega(t: FinTangent, s: FinTangent) -> float:
     """Fundamental two-form g(JT, S); antisymmetric, g(JT, T) = 0."""
     _same_base(t, s)
-    return float(-t.y @ s.x + t.x @ s.y)
+    return float(_omega(_vec(t), _vec(s)))
 
 
 def boost_point(beta: float, p: FinPoint) -> FinPoint:
@@ -162,15 +259,28 @@ def quotient_sec(x: FinTangent, y: FinTangent) -> float:
     _same_base(x, y)
     if not (is_horizontal(x) and is_horizontal(y)):
         raise ValueError("both vectors must be horizontal")
-    gxx = fin_metric(x, x)
-    gyy = fin_metric(y, y)
-    gxy = fin_metric(x, y)
-    den = gxx * gyy - gxy * gxy
-    scale = max(x.norm(), 1.0) ** 2 * max(y.norm(), 1.0) ** 2
-    if abs(den) < 1e-12 * scale:
-        raise DegeneratePlane(f"plane area^2 = {den:.3e}")
-    om = fin_omega(x, y)
-    return (den - 3.0 * om * om) / den
+    return float(_sec(_vec(x), _vec(y)))
+
+
+def holomorphic_sec(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Quotient curvature sec(X, JX) of a batch of samples.
+
+    points and vectors are (S, 2(n+1)) arrays of (x, y) coordinates: S
+    points of the quadric and a horizontal vector X at each. Samples
+    with |g(X, X)| < NULL_TOL span nearly degenerate planes (the area
+    is -g(X, X)^2) and are left out. The rest are checked as FinPoint,
+    FinTangent, j_action and quotient_sec check them (same tolerances,
+    same errors), and their curvatures are returned in order.
+    """
+    keep = np.abs(_g(vectors, vectors)) >= NULL_TOL
+    points, vectors = points[keep], vectors[keep]
+    jv = _j(vectors)
+    _check_surface(points)
+    _check_tangent(vectors, points)
+    # g(JX, p) = -g(X, V) and g(JX, V) = -g(X, p): JX passes the (tighter)
+    # tangency check only where X and JX are both horizontal
+    _check_tangent(jv, points)
+    return _sec(vectors, jv)
 
 
 def standard_base(n: int) -> FinPoint:
@@ -182,24 +292,12 @@ def standard_base(n: int) -> FinPoint:
 
 def random_point(n: int, rng: np.random.Generator) -> FinPoint:
     """Random point of the quadric (rejection sampling on the sign of g)."""
-    while True:
-        x = rng.standard_normal(n + 1)
-        y = rng.standard_normal(n + 1)
-        r = x @ x - y @ y
-        if r > 0.1:
-            return FinPoint(x / np.sqrt(r), y / np.sqrt(r))
+    return FinPoint(*_xy(_draw_point(n, rng)))
 
 
 def random_horizontal(p: FinPoint, rng: np.random.Generator) -> FinTangent:
     """Random horizontal tangent vector at p, O(1) in size."""
-    while True:
-        w = rng.standard_normal(2 * (p.n + 1))
-        wx, wy = w[: p.n + 1], w[p.n + 1 :]
-        c = wx @ p.x - wy @ p.y
-        t = FinTangent(wx - c * p.x, wy - c * p.y, p)
-        h = split(t)[1]
-        if h.norm() > 0.1:
-            return h
+    return _tangent(_draw_horizontal(_vec(p), rng), p)
 
 
 def _field_value(v0: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -210,13 +308,10 @@ def _field_value(v0: np.ndarray, q: np.ndarray) -> np.ndarray:
     g(q, q), so finite differences of it compute an honest bracket of
     vector fields on the quadric.
     """
-    m = q.size // 2
-    eta = np.concatenate([np.ones(m), -np.ones(m)])
-    gq = float(q @ (eta * q))
-    w = v0 - (float(v0 @ (eta * q)) / gq) * q
-    jq = np.concatenate([-q[m:], -q[:m]])
-    w = w + (float(w @ (eta * jq)) / gq) * jq
-    return w
+    gq = _g(q, q)
+    w = v0 - (_g(v0, q) / gq) * q
+    jq = _j(q)
+    return w + (_g(w, jq) / gq) * jq
 
 
 def vertical_bracket_defect(x: FinTangent, y: FinTangent, h: float = 1e-5) -> float:
@@ -231,20 +326,15 @@ def vertical_bracket_defect(x: FinTangent, y: FinTangent, h: float = 1e-5) -> fl
     so the bracket is 2 g(Ja, b) V, vertical already.
     """
     _same_base(x, y)
-    p = np.concatenate([x.base.x, x.base.y])
-    x0 = np.concatenate([x.x, x.y])
-    y0 = np.concatenate([y.x, y.y])
+    p, x0, y0 = _vec(x.base), _vec(x), _vec(y)
     xv = _field_value(x0, p)
     yv = _field_value(y0, p)
     dy_along_x = (_field_value(y0, p + h * xv) - _field_value(y0, p - h * xv)) / (2 * h)
     dx_along_y = (_field_value(x0, p + h * yv) - _field_value(x0, p - h * yv)) / (2 * h)
     br = dy_along_x - dx_along_y
-    m = p.size // 2
-    v = vertical_field(x.base)
-    vvec = np.concatenate([v.x, v.y])
-    eta = np.concatenate([np.ones(m), -np.ones(m)])
-    half_vert = -0.5 * float(br @ (eta * vvec)) * vvec
-    rhs = fin_metric(y, j_action(x)) * vvec
+    v = _j(p)
+    half_vert = -0.5 * _g(br, v) * v
+    rhs = fin_metric(y, j_action(x)) * v
     return float(np.abs(half_vert - rhs).max())
 
 
@@ -255,18 +345,8 @@ def horizontal_basis(p: FinPoint) -> list[FinTangent]:
     (the normal and the vertical); at the standard base point these are
     exactly the remaining coordinate directions.
     """
-    m = p.n + 1
-    out = []
-    for k in range(2 * m):
-        w = np.zeros(2 * m)
-        w[k] = 1.0
-        wx, wy = w[:m], w[m:]
-        c = wx @ p.x - wy @ p.y
-        t = FinTangent(wx - c * p.x, wy - c * p.y, p)
-        hpart = split(t)[1]
-        if hpart.norm() > 1e-8:
-            out.append(hpart)
-    return out
+    hs = (_horizontal_part(w, _vec(p)) for w in np.eye(2 * (p.n + 1)))
+    return [_tangent(h, p) for h in hs if _norm(h) > 1e-8]
 
 
 def plane_scan(n: int) -> list[tuple[str, str, float]]:

@@ -21,11 +21,13 @@ import numpy as np
 from .errors import DegeneratePlane
 from .grid import (
     GridFunction,
-    a_inverse,
+    _a_inverse,
+    _antiderivative,
+    _demean,
+    _derivative,
     antiderivative_from_zero,
     derivative,
     integrate,
-    mean_zero_project,
 )
 from .sphere import GroupElement
 
@@ -114,16 +116,98 @@ def _check_kappa(kappa: int) -> None:
         raise ValueError("kappa must be +1 or -1")
 
 
+# -- kernels ------------------------------------------------------------------
+#
+# Tangent pairs enter the kernels as pair arrays of shape (..., 2, n): the
+# samples of u1 and u2 stacked along the slot axis, any number of leading
+# sample axes in front, the grid along the last axis. Every kernel returns
+# one value (or one pair array) per sample. The public functions below are
+# wrappers that validate their TangentPair arguments and call these.
+
+
+def _pairs(*tangents: TangentPair) -> list[np.ndarray]:
+    return [np.stack([t.u1.values, t.u2.values]) for t in tangents]
+
+
+def _tangent(p: np.ndarray, grid, base: GroupElement | None = None) -> TangentPair:
+    return TangentPair(grid.function(p[0]), grid.function(p[1]), base=base)
+
+
+def _recenter(u2: np.ndarray, px: np.ndarray) -> np.ndarray:
+    # the class representative of u2 with zero mean in the measure phi_x dx
+    return u2 - (u2 * px).mean(axis=-1, keepdims=True)
+
+
+def _metric(U: np.ndarray, V: np.ndarray, kappa: int, px: np.ndarray | None = None) -> np.ndarray:
+    du, dv = _derivative(U[..., 0, :]), _derivative(V[..., 0, :])
+    if px is None:
+        return 0.25 * (du * dv + kappa * (U[..., 1, :] * V[..., 1, :])).mean(axis=-1)
+    return 0.25 * (du * dv / px + kappa * (U[..., 1, :] * V[..., 1, :] * px)).mean(axis=-1)
+
+
+def _metric_K(U: np.ndarray, V: np.ndarray, px: np.ndarray | None = None) -> np.ndarray:
+    if px is None:
+        return _metric(U, V, -1)
+    U, V = U.copy(), V.copy()
+    U[..., 1, :] = _recenter(U[..., 1, :], px)
+    V[..., 1, :] = _recenter(V[..., 1, :], px)
+    return _metric(U, V, -1, px)
+
+
+def _bracket(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    # both slots read (v_x) u1 - (u_x) v1: the velocity slots compose as
+    # vector fields, the density slots are advected
+    return _derivative(V) * U[..., :1, :] - _derivative(U) * V[..., :1, :]
+
+
+def _b_operator(U: np.ndarray, V: np.ndarray, kappa: int) -> np.ndarray:
+    u1, u2, v1 = U[..., 0, :], U[..., 1, :], V[..., 0, :]
+    u1xx = _derivative(_derivative(u1))
+    dv = _derivative(V)
+    h1 = u1xx * dv[..., 0, :] + _derivative(u1xx * v1) - kappa * (u2 * dv[..., 1, :])
+    return np.stack([_a_inverse(_demean(h1)), -_derivative(u2 * v1)], axis=-2)
+
+
+def _arnold(U: np.ndarray, V: np.ndarray, kappa: int) -> np.ndarray:
+    W = _bracket(U, V)
+    delta = 0.5 * (_b_operator(U, V, kappa) + _b_operator(V, U, kappa))
+    beta = 0.5 * (_metric(U, _bracket(V, W), kappa) - _metric(V, _bracket(U, W), kappa))
+    return (_metric(delta, delta, kappa) + beta - 0.75 * _metric(W, W, kappa)
+            - _metric(_b_operator(U, U, kappa), _b_operator(V, V, kappa), kappa))
+
+
+def _j_tensor(U: np.ndarray, px: np.ndarray | None = None) -> np.ndarray:
+    if px is None:
+        integrand = _demean(U[..., 1, :])
+        second = _demean(-_derivative(U[..., 0, :]))
+    else:
+        integrand = _recenter(U[..., 1, :], px) * px
+        second = _demean(-_derivative(U[..., 0, :]) / px)
+    return np.stack([-_antiderivative(integrand), second], axis=-2)
+
+
+def _omega(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    return 0.25 * (_derivative(U[..., 1, :]) * V[..., 0, :]
+                   - _derivative(V[..., 1, :]) * U[..., 0, :]).mean(axis=-1)
+
+
+def _nijenhuis(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    ju, jv = _j_tensor(U), _j_tensor(V)
+    out = (_bracket(U, V) + _bracket(ju, jv)
+           - _j_tensor(_bracket(ju, V)) - _j_tensor(_bracket(U, jv)))
+    out[..., 1, :] = _demean(out[..., 1, :])
+    return out
+
+
+# -- public API ---------------------------------------------------------------
+
+
 def metric_G(U: TangentPair, V: TangentPair, kappa: int = -1) -> float:
     """Right-invariant metric, signature depending on kappa."""
     _check_pair(U, V)
     _check_kappa(kappa)
-    du = derivative(U.u1)
-    dv = derivative(V.u1)
-    if U.base is None:
-        return 0.25 * integrate(du * dv + kappa * (U.u2 * V.u2))
-    px = U.base.phi_x
-    return 0.25 * integrate(du * dv / px + kappa * (U.u2 * V.u2 * px))
+    px = None if U.base is None else U.base.phi_x.values
+    return float(_metric(*_pairs(U, V), kappa, px))
 
 
 def bracket(u: TangentPair, v: TangentPair) -> TangentPair:
@@ -134,11 +218,7 @@ def bracket(u: TangentPair, v: TangentPair) -> TangentPair:
     """
     _check_pair(u, v)
     _check_identity(u, v)
-    u1x = derivative(u.u1)
-    v1x = derivative(v.u1)
-    first = v1x * u.u1 - u1x * v.u1
-    second = derivative(v.u2) * u.u1 - derivative(u.u2) * v.u1
-    return TangentPair(first, second)
+    return _tangent(_bracket(*_pairs(u, v)), u.grid)
 
 
 def b_operator(u: TangentPair, v: TangentPair, kappa: int = -1) -> TangentPair:
@@ -154,13 +234,7 @@ def b_operator(u: TangentPair, v: TangentPair, kappa: int = -1) -> TangentPair:
     _check_pair(u, v)
     _check_identity(u, v)
     _check_kappa(kappa)
-    u1xx = derivative(derivative(u.u1))
-    h1 = u1xx * derivative(v.u1) + derivative(u1xx * v.u1) - kappa * (
-        u.u2 * derivative(v.u2)
-    )
-    first = a_inverse(h1, demean=True)
-    second = -derivative(u.u2 * v.u1)
-    return TangentPair(first, second)
+    return _tangent(_b_operator(*_pairs(u, v), kappa), u.grid)
 
 
 def arnold_curvature(u: TangentPair, v: TangentPair, kappa: int = -1) -> float:
@@ -179,19 +253,10 @@ def arnold_curvature(u: TangentPair, v: TangentPair, kappa: int = -1) -> float:
     b_operator). The symmetric terms are safe: their projected sources
     pair against mean-zero velocity slots.
     """
-    w = bracket(u, v)
-    buv = b_operator(u, v, kappa)
-    bvu = b_operator(v, u, kappa)
-    delta = TangentPair(0.5 * (buv.u1 + bvu.u1), 0.5 * (buv.u2 + bvu.u2))
-    beta_term = 0.5 * (
-        metric_G(u, bracket(v, w), kappa) - metric_G(v, bracket(u, w), kappa)
-    )
-    return (
-        metric_G(delta, delta, kappa)
-        + beta_term
-        - 0.75 * metric_G(w, w, kappa)
-        - metric_G(b_operator(u, u, kappa), b_operator(v, v, kappa), kappa)
-    )
+    _check_pair(u, v)
+    _check_identity(u, v)
+    _check_kappa(kappa)
+    return float(_arnold(*_pairs(u, v), kappa))
 
 
 def christoffel(
@@ -231,14 +296,10 @@ def metric_K(u: KTangent, v: KTangent, at: GroupElement | None = None) -> float:
     At a general base the class representatives are re-centered in the
     measure phi_x dx before pairing.
     """
-    du = derivative(u.u1)
-    dv = derivative(v.u1)
-    if at is None:
-        return 0.25 * integrate(du * dv - u.u2_class * v.u2_class)
-    px = at.phi_x
-    pu = u.u2_class - integrate(u.u2_class * px)
-    pv = v.u2_class - integrate(v.u2_class * px)
-    return 0.25 * integrate(du * dv / px - pu * pv * px)
+    if u.grid != v.grid:
+        raise ValueError("tangent vectors live on different grids")
+    U, V = (np.stack([t.u1.values, t.u2_class.values]) for t in (u, v))
+    return float(_metric_K(U, V, None if at is None else at.phi_x.values))
 
 
 def j_tensor(U: TangentPair) -> TangentPair:
@@ -249,15 +310,8 @@ def j_tensor(U: TangentPair) -> TangentPair:
     gradient. Acts on classes, so the density slot of the result is
     returned mean-zero.
     """
-    if U.base is None:
-        integrand = mean_zero_project(U.u2)
-        second = mean_zero_project(-derivative(U.u1))
-    else:
-        px = U.base.phi_x
-        integrand = (U.u2 - integrate(U.u2 * px)) * px
-        second = mean_zero_project(-derivative(U.u1) / px)
-    first = -antiderivative_from_zero(integrand)
-    return TangentPair(first, second, base=U.base)
+    px = None if U.base is None else U.base.phi_x.values
+    return _tangent(_j_tensor(*_pairs(U), px), U.grid, U.base)
 
 
 def omega_form(U: TangentPair, V: TangentPair) -> float:
@@ -267,7 +321,7 @@ def omega_form(U: TangentPair, V: TangentPair) -> float:
     coordinate expression of omega being parallel.
     """
     _check_pair(U, V)
-    return 0.25 * integrate(derivative(U.u2) * V.u1 - derivative(V.u2) * U.u1)
+    return float(_omega(*_pairs(U, V)))
 
 
 def k_curvature(u: KTangent, v: KTangent) -> float:
@@ -299,12 +353,32 @@ def nijenhuis(u: TangentPair, v: TangentPair) -> TangentPair:
     """
     _check_pair(u, v)
     _check_identity(u, v)
-    ju = j_tensor(u)
-    jv = j_tensor(v)
-    a = bracket(u, v)
-    b = bracket(ju, jv)
-    c = j_tensor(bracket(ju, v))
-    d = j_tensor(bracket(u, jv))
-    first = a.u1 + b.u1 - c.u1 - d.u1
-    second = mean_zero_project(a.u2 + b.u2 - c.u2 - d.u2)
-    return TangentPair(first, second)
+    return _tangent(_nijenhuis(*_pairs(u, v)), u.grid)
+
+
+def identity_defects(U: np.ndarray, V: np.ndarray, kappa: int = -1) -> dict[str, np.ndarray]:
+    """Per-sample defects of the identities that `hs curvature` checks.
+
+    U and V are (S, 2, n) pair arrays of tangent pairs at the identity
+    (u1(0) = 0). The defects are: constant_curvature, the gap between
+    the Arnold curvature and the metric area of span(u, v), relative to
+    max(1, area); and for kappa = -1, on the quotient classes of u and v,
+    j_squared (sup |J^2 u - u|), omega_compat (|omega(u, v) - G_K(Ju, v)|),
+    anti_isometry (|G_K(Ju, Jv) + G_K(u, v)|) and nijenhuis (sup |N(u, v)|).
+    """
+    _check_kappa(kappa)
+    area = _metric(U, U, kappa) * _metric(V, V, kappa) - _metric(U, V, kappa) ** 2
+    out = {"constant_curvature":
+           np.abs(_arnold(U, V, kappa) - area) / np.maximum(1.0, np.abs(area))}
+    if kappa != -1:
+        return out
+    U, V = U.copy(), V.copy()
+    U[..., 1, :] = _demean(U[..., 1, :])
+    V[..., 1, :] = _demean(V[..., 1, :])
+    nij = np.abs(_nijenhuis(U, V)).max(axis=(-2, -1))  # first: Ju and Jv not yet held
+    ju, jv = _j_tensor(U), _j_tensor(V)
+    out["j_squared"] = np.abs(_j_tensor(ju) - U).max(axis=(-2, -1))
+    out["omega_compat"] = np.abs(_omega(U, V) - _metric_K(ju, V))
+    out["anti_isometry"] = np.abs(_metric_K(ju, jv) + _metric_K(U, V))
+    out["nijenhuis"] = nij
+    return out

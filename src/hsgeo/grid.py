@@ -190,22 +190,56 @@ def integrate(f: GridFunction) -> float:
     return float(f.values.mean())
 
 
+def _demean(v: np.ndarray) -> np.ndarray:
+    """Every sample row of v (the last axis) less its mean."""
+    return v - v.mean(axis=-1, keepdims=True)
+
+
 def mean_zero_project(f: GridFunction) -> GridFunction:
     """Remove the mean. Idempotent."""
-    return GridFunction(f.grid, f.values - f.values.mean())
+    return GridFunction(f.grid, _demean(f.values))
 
 
-def _wavenumbers(n: int) -> np.ndarray:
-    # integer frequencies 0..n/2 of the real FFT
-    return np.fft.rfftfreq(n, d=1.0 / n)
+def _ik(n: int) -> np.ndarray:
+    # 2 pi i k for the integer frequencies k = 0..n/2 of the real FFT
+    return 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+
+
+def _derivative(v: np.ndarray) -> np.ndarray:
+    """Spectral derivative of every sample row of v (the last axis)."""
+    n = v.shape[-1]
+    ik = _ik(n)
+    ik[-1] = 0.0
+    vh = np.fft.rfft(v)
+    vh *= ik  # in place: one spectrum per row in flight, not two
+    return np.fft.irfft(vh, n)
+
+
+def _antiderivative(v: np.ndarray) -> np.ndarray:
+    """Antiderivative from zero of every sample row of v (the last axis)."""
+    n = v.shape[-1]
+    fh = np.fft.rfft(v)
+    mean = fh[..., :1].real / n
+    fh[..., 0] = 0.0
+    ik = _ik(n)
+    ik[0] = 1.0  # dummy, mode already zeroed
+    fh /= ik
+    fh[..., -1] = 0.0  # Nyquist antiderivative samples to zero on the nodes
+    periodic = np.fft.irfft(fh, n)
+    return periodic - periodic[..., :1] + mean * (np.arange(n) / n)
+
+
+def _a_inverse(v: np.ndarray) -> np.ndarray:
+    """Normalized inverse of -d2/dx2 on every zero-mean sample row of v."""
+    n = v.shape[-1]
+    first = _antiderivative(v)
+    second = _antiderivative(first)
+    return -second + (np.arange(n) / n) * first.mean(axis=-1, keepdims=True)
 
 
 def derivative(f: GridFunction) -> GridFunction:
     """Spectral derivative. The Nyquist mode is annihilated to keep it real."""
-    n = f.grid.n
-    ik = 2j * np.pi * _wavenumbers(n)
-    ik[-1] = 0.0
-    return GridFunction(f.grid, np.fft.irfft(ik * np.fft.rfft(f.values), n))
+    return GridFunction(f.grid, _derivative(f.values))
 
 
 def antiderivative_from_zero(f: GridFunction) -> GridFunction:
@@ -214,17 +248,7 @@ def antiderivative_from_zero(f: GridFunction) -> GridFunction:
     The mean of f appears as a linear-in-x term, the rest is integrated
     spectrally, so F(x) - mean(f) * x is periodic.
     """
-    n = f.grid.n
-    fh = np.fft.rfft(f.values)
-    mean = fh[0].real / n
-    fh[0] = 0.0
-    ik = 2j * np.pi * _wavenumbers(n)
-    ik[0] = 1.0  # dummy, mode already zeroed
-    gh = fh / ik
-    gh[-1] = 0.0  # Nyquist antiderivative samples to zero on the nodes
-    periodic = np.fft.irfft(gh, n)
-    vals = periodic - periodic[0] + mean * f.grid.x
-    return GridFunction(f.grid, vals)
+    return GridFunction(f.grid, _antiderivative(f.values))
 
 
 def a_inverse(f: GridFunction, demean: bool = False) -> GridFunction:
@@ -243,9 +267,7 @@ def a_inverse(f: GridFunction, demean: bool = False) -> GridFunction:
         tol = max(MEAN_TOL, 8.0 * f.grid.n * EPS * f.sup_norm())
         if abs(integrate(f)) > tol:
             raise NonZeroMean(f"mean {integrate(f):.3e} exceeds {tol:.1e}")
-    first = antiderivative_from_zero(f)
-    second = antiderivative_from_zero(first)
-    return GridFunction(f.grid, -second.values + f.grid.x * integrate(first))
+    return GridFunction(f.grid, _a_inverse(f.values))
 
 
 def write_table(path, header: str, columns) -> None:

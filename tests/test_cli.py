@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,18 @@ import pytest
 import hsgeo
 from hsgeo import data, engine, sphere, weak
 from hsgeo.cli import main
-from hsgeo.grid import derivative
+from hsgeo.findim import fin_metric, j_action, quotient_sec, random_horizontal, random_point
+from hsgeo.geometry import (
+    KTangent,
+    TangentPair,
+    arnold_curvature,
+    j_tensor,
+    metric_G,
+    metric_K,
+    nijenhuis,
+    omega_form,
+)
+from hsgeo.grid import Grid, derivative, mean_zero_project
 
 
 def _run_json(capsys, argv):
@@ -266,6 +278,158 @@ def test_state_table_has_full_precision(tmp_path, capsys):
 def test_import_leaves_scipy_unloaded():
     code = ("import sys, hsgeo, hsgeo.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(hsgeo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
+# ---- the curvature and findim suites against per-sample reference loops ----
+
+
+def _random_pair(grid, rng, modes=6):
+    x = grid.x
+    u1 = np.zeros(grid.n)
+    u2 = np.full(grid.n, rng.uniform(-1.0, 1.0))
+    for m in range(1, modes + 1):
+        a, b = rng.normal(size=2) / m
+        u1 = u1 + a * np.sin(2 * np.pi * m * x) + b * (np.cos(2 * np.pi * m * x) - 1.0)
+        c, e = rng.normal(size=2) / m
+        u2 = u2 + c * np.sin(2 * np.pi * m * x) + e * np.cos(2 * np.pi * m * x)
+    return TangentPair(grid.function(u1), grid.function(u2))
+
+
+def _curvature_reference(n, samples, seed, kappa):
+    """The identity suite of hs curvature as a loop over the public
+    per-pair API, one TangentPair at a time: the worst error of each
+    identity."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(n)
+    worst = {"constant_curvature": 0.0}
+    if kappa == -1:
+        worst.update({"j_squared": 0.0, "omega_compat": 0.0, "anti_isometry": 0.0, "nijenhuis": 0.0})
+    for _ in range(samples):
+        u = _random_pair(grid, rng)
+        v = _random_pair(grid, rng)
+        sec = arnold_curvature(u, v, kappa)
+        prod = metric_G(u, u, kappa) * metric_G(v, v, kappa) - metric_G(u, v, kappa) ** 2
+        worst["constant_curvature"] = max(
+            worst["constant_curvature"], abs(sec - prod) / max(1.0, abs(prod)))
+        if kappa != -1:
+            continue
+        uk = TangentPair(u.u1, mean_zero_project(u.u2))
+        vk = TangentPair(v.u1, mean_zero_project(v.u2))
+        ju, jv = j_tensor(uk), j_tensor(vk)
+        jju = j_tensor(ju)
+        worst["j_squared"] = max(worst["j_squared"],
+                                 (jju.u1 - uk.u1).sup_norm(), (jju.u2 - uk.u2).sup_norm())
+        worst["omega_compat"] = max(worst["omega_compat"], abs(
+            omega_form(uk, vk) - metric_K(KTangent(ju.u1, ju.u2), KTangent(vk.u1, vk.u2))))
+        worst["anti_isometry"] = max(worst["anti_isometry"], abs(
+            metric_K(KTangent(ju.u1, ju.u2), KTangent(jv.u1, jv.u2))
+            + metric_K(KTangent(uk.u1, uk.u2), KTangent(vk.u1, vk.u2))))
+        nij = nijenhuis(uk, vk)
+        worst["nijenhuis"] = max(worst["nijenhuis"], nij.u1.sup_norm(), nij.u2.sup_norm())
+    return worst
+
+
+def _findim_reference(n, samples, seed):
+    """hs findim as a loop over the public API: the worst |sec(X, JX) - 4|
+    and the number of samples not skipped as nearly null."""
+    rng = np.random.default_rng(seed)
+    worst, checked = 0.0, 0
+    for _ in range(samples):
+        p = random_point(n, rng)
+        x = random_horizontal(p, rng)
+        if abs(fin_metric(x, x)) < 1e-2:
+            continue
+        checked += 1
+        worst = max(worst, abs(quotient_sec(x, j_action(x)) - 4.0))
+    return worst, checked
+
+
+@pytest.mark.parametrize("n, samples", [(64, 9), (256, 5)])
+@pytest.mark.parametrize("seed", [0, 5, 12345])
+def test_curvature_suite_reproduces_the_per_pair_loop(capsys, n, samples, seed):
+    # the same planes, drawn in the same order, give the same errors bit for bit
+    for kappa in (-1, 1):
+        code, rep = _run_json(capsys, ["curvature", "--n", str(n), "--samples", str(samples),
+                                       "--seed", str(seed), "--kappa", str(kappa)])
+        assert code == 0
+        want = _curvature_reference(n, samples, seed, kappa)
+        assert {k: v["max_error"] for k, v in rep["identities"].items()} == want
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_findim_suite_reproduces_the_per_sample_loop(capsys, n, seed):
+    code, rep = _run_json(capsys, ["findim", "--n", str(n), "--seed", str(seed)])
+    assert code == 0
+    assert (rep["max_dev_from_4"], rep["checked"]) == _findim_reference(n, 100, seed)
+
+
+def test_findim_reports_the_samples_it_checked(capsys):
+    code, rep = _run_json(capsys, ["findim", "--n", "1", "--seed", "7"])
+    assert code == 0 and rep["samples"] == 100 and rep["checked"] == 99
+    # seed 53 draws one nearly null vector: nothing is checked, nothing passes
+    code, rep = _run_json(capsys, ["findim", "--n", "1", "--samples", "1", "--seed", "53"])
+    assert code == 1 and rep["checked"] == 0 and rep["pass"] is False
+
+
+@pytest.mark.parametrize("command", ["curvature", "findim"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_suites_refuse_to_check_nothing(capsys, command, samples):
+    assert main([command, "--samples", samples]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_compare_refuses_t_max(capsys):
+    assert main(["compare", "--preset", "lightlike", "--n", "64", "--t-max", "0.6"]) == 2
+    assert "--times" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, bound_mb", [(256, 0.2), (4096, 0.8)])
+def test_curvature_suite_memory_stays_bounded(capsys, n, bound_mb):
+    # samples go through in chunks sized from a byte budget: at n = 256 four
+    # at a time peak at 0.19 MB (all 20 at once would take 0.88 MB); at
+    # n = 4096 one at a time peaks at 0.73 MB (1.20 MB as TangentPair chains).
+    # The exit code is not the point here: at n = 4096 the nijenhuis
+    # identity misses its absolute tolerance (1.2e-7 against 1e-7)
+    argv = ["curvature", "--samples", "20", "--n", str(n), "--json"]
+    main(argv)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak <= bound_mb * 2**20
+
+
+def test_curvature_suite_batches_its_ffts(monkeypatch, capsys):
+    # 800 numpy FFT calls for 20 samples at n = 256, chunked four samples
+    # at a time; one TangentPair chain per sample made 3922
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    assert main(["curvature", "--samples", "20", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) <= 1000
+
+
+def test_import_makes_no_fft_call():
+    # import time is in every run's set-up: no spectral table may be built there
+    code = ("import numpy as np\n"
+            "calls = []\n"
+            "for name in ('fft', 'ifft', 'rfft', 'irfft', 'fftfreq', 'rfftfreq'):\n"
+            "    fn = getattr(np.fft, name)\n"
+            "    setattr(np.fft, name, lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))\n"
+            "import hsgeo, hsgeo.cli\n"
+            "print(calls)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(hsgeo.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)

@@ -11,6 +11,7 @@ from hsgeo.findim import (
     boost_tangent,
     fin_metric,
     fin_omega,
+    holomorphic_sec,
     horizontal_basis,
     is_horizontal,
     j_action,
@@ -175,3 +176,40 @@ def test_horizontal_basis_spans_the_quotient():
         assert len(basis) == 2 * n
         for b in basis:
             assert is_horizontal(b)
+
+
+def _batch(n, count, rng):
+    points = [random_point(n, rng) for _ in range(count)]
+    vectors = [random_horizontal(p, rng) for p in points]
+    return (points, vectors, np.array([np.r_[p.x, p.y] for p in points]),
+            np.array([np.r_[v.x, v.y] for v in vectors]))
+
+
+def test_holomorphic_sec_equals_quotient_sec_per_sample():
+    for n in (1, 3, 8):
+        points, vectors, P, X = _batch(n, 12, np.random.default_rng(n))
+        want = [quotient_sec(x, j_action(x)) for x in vectors if abs(fin_metric(x, x)) >= 1e-2]
+        assert holomorphic_sec(P, X).tolist() == want
+
+
+def test_holomorphic_sec_keeps_the_checks_of_the_public_types():
+    points, vectors, P, X = _batch(2, 4, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="off the quadric"):
+        holomorphic_sec(1.01 * P, X)
+    with pytest.raises(ValueError, match="not tangent"):
+        holomorphic_sec(P, X + P)
+    # the vertical field is tangent, but J maps it to the point, which is
+    # not: the same error as j_action raises on it
+    vertical = np.array([np.r_[-p.y, -p.x] for p in points])
+    with pytest.raises(ValueError, match="not tangent"):
+        holomorphic_sec(P, vertical)
+    # g(X, X) = 0.02 is not skipped, but at |X| = 1000 the area -g(X, X)^2
+    # is below 1e-12 |X|^4: degenerate for quotient_sec as well
+    p = np.r_[BASE2.x, BASE2.y][None]
+    x = FinTangent(np.r_[0.0, 1e3, 0.0], np.r_[0.0, np.sqrt(1e6 - 0.02), 0.0], BASE2)
+    with pytest.raises(DegeneratePlane):
+        quotient_sec(x, j_action(x))
+    with pytest.raises(DegeneratePlane):
+        holomorphic_sec(p, np.r_[x.x, x.y][None])
+    # a null vector is skipped, not refused
+    assert holomorphic_sec(p, np.r_[0.0, 1.0, 0.0, 0.0, 1.0, 0.0][None]).size == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hsgeo import geometry as g
 from hsgeo.data import casimir, preset
 from hsgeo.errors import DegeneratePlane
 from hsgeo.geometry import (
@@ -12,6 +13,7 @@ from hsgeo.geometry import (
     b_operator,
     bracket,
     christoffel,
+    identity_defects,
     j_tensor,
     k_curvature,
     metric_G,
@@ -343,3 +345,70 @@ def test_torsion_degenerate_arguments():
     assert n.u1.sup_norm() == 0.0 and n.u2.sup_norm() == 0.0
     n = nijenhuis(u, z)
     assert n.u1.sup_norm() == 0.0 and n.u2.sup_norm() == 0.0
+
+
+# ---- sample-array kernels ----
+
+
+def _stack(pairs):
+    return np.array([[p.u1.values, p.u2.values] for p in pairs])
+
+
+def _as_array(p):
+    return np.array([p.u1.values, p.u2.values])
+
+
+def test_batched_kernels_equal_the_public_wrappers():
+    # each public function wraps one kernel; a batch of S pair arrays gives,
+    # row by row, exactly what the wrapper gives for one pair
+    rng = np.random.default_rng(23)
+    us, vs = [_k_pair(rng) for _ in range(4)], [_k_pair(rng) for _ in range(4)]
+    U, V = _stack(us), _stack(vs)
+    base = _rand_base(rng)
+    px = base.phi_x.values
+    got = {k: g._metric(U, V, k) for k in (-1, 1)}
+    for i, (u, v) in enumerate(zip(us, vs)):
+        for k in (-1, 1):
+            assert got[k][i] == metric_G(u, v, k)
+            assert g._arnold(U, V, k)[i] == arnold_curvature(u, v, k)
+            assert np.array_equal(g._b_operator(U, V, k)[i], _as_array(b_operator(u, v, k)))
+        assert np.array_equal(g._bracket(U, V)[i], _as_array(bracket(u, v)))
+        assert np.array_equal(g._j_tensor(U)[i], _as_array(j_tensor(u)))
+        assert g._omega(U, V)[i] == omega_form(u, v)
+        assert np.array_equal(g._nijenhuis(U, V)[i], _as_array(nijenhuis(u, v)))
+        uk, vk = KTangent(u.u1, u.u2), KTangent(v.u1, v.u2)
+        assert g._metric_K(U, V)[i] == metric_K(uk, vk)
+        assert g._metric_K(U, V, px)[i] == metric_K(uk, vk, at=base)
+        ub = TangentPair(u.u1, u.u2, base=base)
+        assert g._metric(U, V, -1, px)[i] == metric_G(ub, TangentPair(v.u1, v.u2, base=base))
+        assert np.array_equal(g._j_tensor(U, px)[i], _as_array(j_tensor(ub)))
+
+
+def test_identity_defects_follow_the_public_api():
+    # the per-sample defects that hs curvature reports, against the
+    # identities written out with the public per-pair functions
+    rng = np.random.default_rng(29)
+    us, vs = [_pair(rng=rng) for _ in range(3)], [_pair(rng=rng) for _ in range(3)]
+    for kappa in (-1, 1):
+        got = identity_defects(_stack(us), _stack(vs), kappa)
+        assert set(got) == ({"constant_curvature"} if kappa == 1 else {
+            "constant_curvature", "j_squared", "omega_compat", "anti_isometry", "nijenhuis"})
+        for i, (u, v) in enumerate(zip(us, vs)):
+            area = metric_G(u, u, kappa) * metric_G(v, v, kappa) - metric_G(u, v, kappa) ** 2
+            want = abs(arnold_curvature(u, v, kappa) - area) / max(1.0, abs(area))
+            assert got["constant_curvature"][i] == want
+            if kappa == 1:
+                continue
+            uk = TangentPair(u.u1, mean_zero_project(u.u2))
+            vk = TangentPair(v.u1, mean_zero_project(v.u2))
+            ju, jv = j_tensor(uk), j_tensor(vk)
+            jju = j_tensor(ju)
+
+            def K(a, b):
+                return metric_K(KTangent(a.u1, a.u2), KTangent(b.u1, b.u2))
+
+            nij = nijenhuis(uk, vk)
+            assert got["j_squared"][i] == max((jju.u1 - uk.u1).sup_norm(), (jju.u2 - uk.u2).sup_norm())
+            assert got["omega_compat"][i] == abs(omega_form(uk, vk) - K(ju, vk))
+            assert got["anti_isometry"][i] == abs(K(ju, jv) + K(uk, vk))
+            assert got["nijenhuis"][i] == max(nij.u1.sup_norm(), nij.u2.sup_norm())

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hsgeo.data import PRESETS, casimir, preset
+from hsgeo.data import PRESETS, InitialData, casimir, normalize, preset
 from hsgeo.engine import blowup_time, eulerian_solution
 from hsgeo.errors import StepUnstable
 from hsgeo.grid import Grid, a_inverse, derivative, integrate
+from hsgeo import oracle
 from hsgeo.oracle import OracleConfig, _march, compare, evolve, rhs
 from conftest import GRID
 from test_engine import _positive_kappa_data
@@ -76,6 +77,55 @@ def test_rhs_matches_the_reference_composition(n):
                 want = _reference_rhs(u, rho, kappa, dealias)
                 for g, w in zip(got, want):
                     assert (g - w).sup_norm() <= 1e-12 * w.sup_norm()
+
+
+def _reference_kernel(n, kappa, dealias):
+    """The right-hand side at seven FFT calls, one per transform: u,
+    u_x, the three products, u_t and rho_t, none of them stacked."""
+    k = np.fft.rfftfreq(n, d=1.0 / n)
+    ik = 2j * np.pi * k
+    ik[-1] = 0.0
+    mask = (k <= n / 3.0) if dealias else np.ones(k.size)
+    half = np.zeros(k.size, dtype=complex)
+    half[1:-1] = 0.5 * mask[1:-1] / ik[1:-1]
+    flux = -ik * mask
+
+    def f(u, rho):
+        ux = np.fft.irfft(ik * np.fft.rfft(u), n)
+        ph = half * np.fft.rfft(ux * ux + kappa * (rho * rho))
+        p0 = 2.0 * ph.real.sum() / n
+        ut = np.fft.irfft(ph - mask * np.fft.rfft(u * ux), n) - p0
+        return ut, np.fft.irfft(flux * np.fft.rfft(u * rho), n)
+
+    return f
+
+
+@pytest.mark.parametrize("name", ["lightlike", "fig1c", "fig1a"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_march_equals_the_unstacked_reference_kernel(monkeypatch, name, n):
+    # the stacked FFT calls transform each row as a lone call would
+    d = preset(name, n)
+    for kappa, dealias in ((-1, True), (-1, False), (1, True)):
+        if kappa != d.kappa:
+            d = normalize(InitialData(d.u0, d.rho0, kappa))[0]
+        cfg = OracleConfig(n=n, dt=0.5 / n, dealias=dealias)
+        got = _march(d, 0.0, 0.3, d.u0.values, d.rho0.values, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_kernel", _reference_kernel)
+            want = _march(d, 0.0, 0.3, d.u0.values, d.rho0.values, cfg)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_kernel_makes_four_fft_calls(monkeypatch):
+    calls = []
+    for name in ("rfft", "irfft"):
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    d = preset("fig1c", 64)
+    f = oracle._kernel(64, -1, True)
+    calls.clear()
+    f(d.u0.values, d.rho0.values)
+    assert len(calls) == 4
 
 
 def test_march_refuses_non_finite_fields():
