@@ -38,7 +38,7 @@ from .engine import (
 from .errors import BlowupReached, HsError
 from .findim import _draw_horizontal, _draw_point, holomorphic_sec, plane_scan
 from .geometry import identity_defects
-from .grid import Grid, write_table, write_text
+from .grid import EPS, Grid, write_table, write_text
 from .oracle import OracleConfig, compare
 from .sphere import _geodesic_and_gap, boundary_hit_time
 from .weak import admissibility, energy, flow_state
@@ -49,6 +49,10 @@ SCHEMA = 1
 # at once (measured under tracemalloc, its two pair arrays included)
 CURVATURE_CHUNK_BYTES = 3 * 2**16
 CURVATURE_ROWS = 22
+# the nijenhuis defect is the rounding of nested spectral derivatives and
+# grows like n^2 eps: at most 57.8 n^2 eps over seeds 0-49 at n = 1024,
+# 2048 and 4096, so its bound is max(1e-7, NIJENHUIS_K n^2 eps), K four times that
+NIJENHUIS_K = 232
 
 
 def _finite(x: float):
@@ -269,7 +273,7 @@ def _cmd_curvature(args) -> int:
             worst[name] = float(np.maximum(worst.get(name, 0.0), err.max()))
 
     tols = {"constant_curvature": 1e-6, "j_squared": 1e-7, "omega_compat": 1e-7,
-            "anti_isometry": 1e-7, "nijenhuis": 1e-7}
+            "anti_isometry": 1e-7, "nijenhuis": max(1e-7, NIJENHUIS_K * grid.n**2 * EPS)}
     identities = {
         name: {"max_error": err, "tolerance": tols[name], "pass": err < tols[name]}
         for name, err in worst.items()
@@ -293,12 +297,9 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if args.t_max is not None:
-        raise ValueError("compare reports at the times given by --times "
-                         "(--t-max is not used, and --dt is the solver step)")
     d, meta = _load_data(args)
     times = _parse_times(args.times) if args.times else [0.1, 0.2, 0.3]
-    cfg = OracleConfig(n=d.grid.n, dt=args.dt if args.dt is not None else 1e-3)
+    cfg = OracleConfig(dt=args.dt if args.dt is not None else 1e-3)
     report = compare(d, times, cfg)
     report["command"] = "compare"
     report["name"] = meta.get("name", "custom")
@@ -365,50 +366,47 @@ def _build_parser() -> argparse.ArgumentParser:
                     "on the periodic circle.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    flags = {
+        "--preset": dict(default="fig1c", choices=sorted(PRESETS),
+                         help="named initial datum; " + "; ".join(
+                             f"{k}: {v}" for k, v in sorted(PRESET_NOTES.items()))),
+        "--n": dict(type=int, default=256, help="grid nodes (default 256)"),
+        "--kappa": dict(type=int, default=-1, choices=(-1, 1), help="coupling sign"),
+        "--times": dict(default=None, help="comma-separated ascending times"),
+        "--t-max": dict(type=float, default=None, help="last output time"),
+        "--dt": dict(type=float, default=None, help="output spacing"),
+        "--seed": dict(type=int, default=0, help="random seed"),
+    }
 
-    def common(p, n_default=256, n_help="grid nodes (default 256)"):
-        p.add_argument("--preset", default="fig1c", choices=sorted(PRESETS),
-                       help="named initial datum; " + "; ".join(
-                           f"{k}: {v}" for k, v in sorted(PRESET_NOTES.items())))
-        p.add_argument("--n", type=int, default=n_default, help=n_help)
-        p.add_argument("--dt", type=float, default=None,
-                       help="output spacing (simulate/geodesic) or solver step (compare)")
-        p.add_argument("--t-max", type=float, default=None, help="last output time")
-        p.add_argument("--times", default=None, help="comma-separated ascending times")
-        p.add_argument("--kappa", type=int, default=-1, choices=(-1, 1), help="coupling sign")
+    def command(name, fn, help, names, override=None):
+        """A subcommand with the shared flags it reads, --out and --json."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(flag, **{**flags[flag], **(override or {}).get(flag, {})})
         p.add_argument("--out", default=None, help="directory for artifact files")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--json", action="store_true", help="print the JSON report to stdout")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("simulate", help="evolve a datum and emit per-time state tables")
-    common(p)
+    datum, clock = ("--preset", "--n", "--kappa"), ("--times", "--t-max", "--dt")
+    p = command("simulate", _cmd_simulate, "evolve a datum and emit per-time state tables",
+                datum + clock)
     p.add_argument("--scenario", default=None, help="JSON scenario descriptor file "
                    "(data is rescaled to the unit Casimir class)")
-    p.set_defaults(fn=_cmd_simulate)
-
-    p = sub.add_parser("geodesic", help="track the chart image on the unit level set")
-    common(p)
-    p.set_defaults(fn=_cmd_geodesic)
-
-    p = sub.add_parser("blowup", help="report breakdown times for a datum")
-    common(p)
-    p.set_defaults(fn=_cmd_blowup)
-
-    p = sub.add_parser("compare", help="closed forms vs the spectral time stepper")
-    common(p)
-    p.set_defaults(fn=_cmd_compare)
-
-    p = sub.add_parser("curvature", help="curvature and structure identity suite")
-    common(p)
+    command("geodesic", _cmd_geodesic, "track the chart image on the unit level set",
+            datum + clock)
+    command("blowup", _cmd_blowup, "report breakdown times for a datum", datum)
+    command("compare", _cmd_compare, "closed forms vs the spectral time stepper",
+            datum + ("--times", "--dt"), {"--dt": dict(help="solver step (default 1e-3)")})
+    p = command("curvature", _cmd_curvature, "curvature and structure identity suite",
+                ("--n", "--kappa", "--seed"))
     p.add_argument("--samples", type=int, default=50, help="random tangent pairs")
-    p.set_defaults(fn=_cmd_curvature)
-
-    p = sub.add_parser("findim", help="finite-dimensional quotient curvature checks")
-    common(p, n_default=2, n_help="dimension parameter of the quadric (default 2)")
+    p = command("findim", _cmd_findim, "finite-dimensional quotient curvature checks",
+                ("--n", "--seed"),
+                {"--n": dict(default=2, help="dimension parameter of the quadric (default 2)")})
     p.add_argument("--samples", type=int, default=100, help="random horizontal samples")
     p.add_argument("--scan-planes", action="store_true",
                    help="emit the coordinate-pair plane table as CSV")
-    p.set_defaults(fn=_cmd_findim)
 
     return top
 
@@ -416,8 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.times is not None:
-            _parse_times(args.times)
         return args.fn(args)
     except HsError as exc:
         print(f"hs {args.command}: {exc}", file=sys.stderr)

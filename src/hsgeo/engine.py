@@ -12,10 +12,9 @@ threshold -2 sqrt(-c) (every real slope for c > 0); sampled slopes
 within rounding distance of that threshold are set onto it in one
 place (`_branch_slopes`), and every breakdown reader takes them, with
 the class, from one spectral derivative of the datum (`_analysis`).
-Every time-t quantity of the classical flow is a `LagrangianFields`
-state built from the two factors, and one reconstruction
-(`eulerian_fields`) turns any such state, classical or weak, into
-Eulerian fields.
+Every flow state, classical or weak, is a `LagrangianFields` built by
+one assembly from the branch slopes (`_flow`), and one reconstruction
+(`eulerian_fields`) turns any such state into Eulerian fields.
 """
 
 from __future__ import annotations
@@ -257,7 +256,8 @@ class LagrangianFields:
     its velocity, phi_x and phi_tx their label derivatives, and
     rho = rho0 / phi_x the density carried along the flow. The
     classical flow of either coupling (lagrangian_fields) and the
-    global weak flow (weak.WeakState) share this state.
+    global weak flow (weak.WeakState) share this state and its
+    assembly (`_flow`).
     """
 
     # eulerian_fields refuses a classical state this close to folding;
@@ -278,24 +278,64 @@ class LagrangianFields:
         return self.phi_tx / self.phi_x
 
 
+def _half_slopes(c: float, p0: np.ndarray, q0: np.ndarray):
+    """Rate s = sqrt(-c) of a class c < 0, the half-slopes hp, hq of the
+    two branches, with w = e^{-st} + h sinh st as in `factor`, and their
+    product hp hq less its mean.
+
+    That mean is the defect of the datum's Casimir from c, over -c: it
+    vanishes on data of class c, so its float residue is projected out
+    before the product enters terms that grow like e^{2st}. Slopes set
+    onto the threshold -2s by `_branch_slopes` have half-slope exactly 0.
+    """
+    s = math.sqrt(-c)
+    hp, hq = 1.0 + 0.5 * p0 / s, 1.0 + 0.5 * q0 / s
+    r = hp * hq
+    return s, hp, hq, r - r.mean()
+
+
+def _flow(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t: float):
+    """Flow state at time t from the branch slopes p0, q0 of class c,
+    with the branch factors w_p, w_q: the one assembly of every flow.
+
+    phi_x = w_p w_q and phi_tx is its rate. For c >= 0, and so for every
+    kappa = +1 datum, they are products of `factor` values and rates.
+    For c < 0 the product is expanded over e^{-2st}, e^{-st} sinh st and
+    sinh^2 st, whose coefficients are 1, hp + hq and the projected
+    product of `_half_slopes`: the product of the factor rates would
+    cancel terms of size e^{2st} in phi_tx and let the winding of phi and
+    the periodicity of phi_t drift by rounding times e^{2st}.
+    """
+    if c < 0:
+        s, hp, hq, r0 = _half_slopes(c, p0, q0)
+        em, sh, ch = math.exp(-s * t), math.sinh(s * t), math.cosh(s * t)
+        em2, ssum = em * em, hp + hq
+        phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
+        phi_tx = s * (-2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch))
+        wp, wq = em + hp * sh, em + hq * sh
+    else:
+        wp, wtp = factor(p0, c, t)
+        wq, wtq = factor(q0, c, t)
+        phi_x, phi_tx = (wp * wq).real, (wtp * wq + wp * wtq).real
+    grid = d.grid
+    phi_x, phi_tx = grid.function(phi_x), grid.function(phi_tx)
+    state = LagrangianFields(
+        t, d.kappa, antiderivative_from_zero(phi_x), antiderivative_from_zero(phi_tx),
+        phi_x, phi_tx, d.rho0 / phi_x,
+    )
+    return state, wp, wq
+
+
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
-    """Classical flow state at time t (normalized data): the product
-    of the two branch factors, refused at or past breakdown."""
+    """Classical flow state at time t (normalized data), refused at or
+    past breakdown."""
     c, (p0, q0) = _analysis(d)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     tstar = _first_root(c, (p0, q0))
     if t >= tstar:
         raise BlowupReached(f"t = {t} is not below the breakdown time {tstar:.6g}")
-    wp, wtp = factor(p0, c, t)
-    wq, wtq = factor(q0, c, t)
-    grid = d.grid
-    phi_x = grid.function((wp * wq).real)
-    phi_tx = grid.function((wtp * wq + wp * wtq).real)
-    return LagrangianFields(
-        t, d.kappa, antiderivative_from_zero(phi_x), antiderivative_from_zero(phi_tx),
-        phi_x, phi_tx, d.rho0 / phi_x,
-    )
+    return _flow(d, c, p0, q0, t)[0]
 
 
 def _invert(phi: np.ndarray, grid: Grid) -> np.ndarray:

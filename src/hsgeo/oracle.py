@@ -24,20 +24,14 @@ SUP_LIMIT = 1e6
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Integrator knobs. The method is pinned to classical RK4."""
+    """Integrator knobs of the classical RK4 march; the grid is the datum's."""
 
-    n: int = 256
     dt: float = 1e-3
-    method: str = "rk4"
     dealias: bool = True
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ValueError("only the classical rk4 method is provided")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.dt > 0.5 / self.n:
-            raise ValueError("dt must not exceed 0.5/n")
 
 
 def _kernel(n: int, kappa: int, dealias: bool):
@@ -116,12 +110,12 @@ def _march(d: InitialData, t0: float, t1: float, u, rho, cfg: OracleConfig):
 
 
 def _breakdown_clock(d: InitialData, t_last: float, cfg: OracleConfig) -> float:
-    """Breakdown time of d. Refuses a config for another grid, and
-    targets within 0.05 of breakdown: close to breaking the spectral
-    representation degrades and the integrator no longer serves as a
-    trustworthy reference."""
-    if d.grid.n != cfg.n:
-        raise ValueError(f"data lives on n = {d.grid.n}, config says n = {cfg.n}")
+    """Breakdown time of d. Refuses a step above 0.5/n on the datum's
+    n-point grid, and targets within 0.05 of breakdown: close to
+    breaking the spectral representation degrades and the integrator no
+    longer serves as a trustworthy reference."""
+    if cfg.dt > 0.5 / d.grid.n:
+        raise ValueError("dt must not exceed 0.5/n")
     tstar = blowup_time(d)
     if t_last > tstar - SAFETY_MARGIN:
         raise ValueError(f"t = {t_last} is past the safety margin before breakdown at {tstar:.6g}")
@@ -165,7 +159,7 @@ def compare(d: InitialData, times, cfg: OracleConfig = OracleConfig()) -> dict:
                      "casimir_drift": abs(_casimir_of(uo, ro, d.kappa) - c0)})
     return {
         "schema": 1,
-        "n": cfg.n,
+        "n": gr.n,
         "dt": cfg.dt,
         "dealias": cfg.dealias,
         "kappa": d.kappa,

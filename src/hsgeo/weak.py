@@ -2,8 +2,9 @@
 
 On the admissible set (unit negative energy constant, slopes bounded
 below by the breakdown threshold) the flow map degenerates at isolated
-points but never folds, and the closed-form factor fields continue it
-past every classical breakdown. Pushing the Lagrangian velocity through
+points but never folds, and the closed-form flow state of the engine
+(`engine._flow`, the one the classical flow uses) continues it past every
+classical breakdown. Pushing the Lagrangian velocity through
 the flow map then yields density-velocity pairs that solve the system
 weakly for all time while conserving the indefinite energy.
 """
@@ -19,6 +20,8 @@ from .engine import (
     LagrangianFields,
     _analysis,
     _breaking,
+    _flow,
+    _half_slopes,
     eulerian_fields,
     lagrangian_fields,
 )
@@ -99,46 +102,14 @@ class WeakState(LagrangianFields):
             raise ValueError("phi_x fell below the admissible lower bound")
 
 
-def _factor_pieces(p0: np.ndarray, q0: np.ndarray):
-    """Nonnegative half-slopes (1 + z0/2) of the two factor branches.
-
-    The slopes come from `_analysis` at the threshold -2: slopes on it
-    up to rounding are exactly on it, so their half-slopes are exactly
-    zero; the closed forms are exponentially sensitive to the
-    distinction between critical and nearly critical slopes.
-    """
-    return np.maximum(1.0 + 0.5 * p0, 0.0), np.maximum(1.0 + 0.5 * q0, 0.0)
-
-
-def _closed_fields(sp: np.ndarray, sq: np.ndarray, t: float):
-    """Nodal building blocks of the flow state at time t.
-
-    The mean of the product of the half-slopes is the defect of the
-    energy constant from -1; it vanishes identically on admissible data,
-    so the measured float residue is projected out before the
-    quadratically grown term enters phi_x. sp and sq are the factor
-    half-slopes (`_factor_pieces`).
-    """
-    em = math.exp(-t)
-    sh = math.sinh(t)
-    ch = math.cosh(t)
-    r = sp * sq
-    r0 = r - r.mean()
-    ssum = sp + sq
-    em2 = em * em
-    phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
-    phi_tx = -2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch)
-    phi_ttx = 4.0 * em2 - 2.0 * ssum * em2 + r0 * (2.0 * math.cosh(2.0 * t))
-    return em, sh, phi_x, phi_tx, phi_ttx
-
-
 def weak_state(d: InitialData, t: float) -> WeakState:
     """Closed-form global flow state at time t >= 0.
 
-    Assembled from the factor half-slopes in exponential form, which is
-    stable for arbitrarily large t. alpha_t is rho0 / phi_x exactly:
-    the Wronskian of the two factor branches is constant in time and
-    equals rho0.
+    The flow is the engine's one assembly (`engine._flow`), which is
+    stable for arbitrarily large t; the chart components are
+    f1 +- f2 = w_p, w_q, the two branch factors. alpha_t is
+    rho0 / phi_x exactly: the Wronskian of the two factor branches is
+    constant in time and equals rho0.
     """
     report, slopes = _admission(d)
     if not report.admissible:
@@ -150,19 +121,10 @@ def weak_state(d: InitialData, t: float) -> WeakState:
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     gr = d.grid
-    sp, sq = _factor_pieces(*slopes)
-    del slopes
-    em, sh, phi_x, phi_tx, _ = _closed_fields(sp, sq, t)
-    wp = em + sp * sh
-    wq = em + sq * sh
-    f1 = gr.function(0.5 * (wp + wq))
-    f2 = gr.function(0.5 * (wp - wq))
-    phi_x = gr.function(phi_x)
-    phi_tx = gr.function(phi_tx)
+    s, wp, wq = _flow(d, -1, *slopes, t)
     return WeakState(
-        t=t, kappa=-1, phi=antiderivative_from_zero(phi_x), phi_t=antiderivative_from_zero(phi_tx),
-        phi_x=phi_x, phi_tx=phi_tx, rho=d.rho0 / phi_x,
-        f1=f1, f2=f2, alpha=gr.function(np.log(wp) - np.log(wq)),
+        **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
+        alpha=gr.function(np.log(wp) - np.log(wq)),
     )
 
 
@@ -197,8 +159,11 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     state. Zero up to quadrature error for admissible data.
     """
     s = weak_state(d, t)
-    sp, sq = _factor_pieces(*_analysis(d, -1)[1])
-    phi_tt = antiderivative_from_zero(d.grid.function(_closed_fields(sp, sq, t)[-1]))
+    # the second time derivative of the c = -1 phi_x of engine._flow, term by term
+    _, hp, hq, r0 = _half_slopes(-1, *_analysis(d, -1)[1])
+    em2 = math.exp(-t) ** 2
+    phi_ttx = 4.0 * em2 - 2.0 * (hp + hq) * em2 + r0 * (2.0 * math.cosh(2.0 * t))
+    phi_tt = antiderivative_from_zero(d.grid.function(phi_ttx))
     alpha_tt = -d.rho0 * s.phi_tx / (s.phi_x * s.phi_x)
 
     base = GroupElement(s.phi, s.alpha)

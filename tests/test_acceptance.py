@@ -120,7 +120,7 @@ def test_04_breakdown_clocks_and_the_global_floor():
 
 def test_05_closed_forms_match_the_time_stepper():
     start = time.monotonic()
-    cfg = OracleConfig(n=256, dt=1e-3)
+    cfg = OracleConfig(dt=1e-3)
     for name in ("spacelike", "lightlike", "fig1c"):
         d = preset(name)
         uo, ro = evolve(d, 0.3, cfg)

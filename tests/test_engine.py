@@ -299,6 +299,33 @@ def test_constant_gap_data_has_one_pure_exponential_factor():
     assert lf.phi_x.min() > 0
 
 
+@pytest.mark.parametrize("t", [10.0, 15.0, 20.0])
+def test_cosine_flow_velocity_stays_exact_at_long_times(t):
+    # u0x = cos 2 pi x, rho0 = u0x + 2: one factor is e^{-t}, and the flow
+    # velocity is e^{-2t} sin(2 pi x) / (2 pi), far below the e^{2t} terms
+    # that a product of factor rates cancels (off by 1.0 in u at t = 20)
+    grid = Grid(1024)
+    cos = grid.sample(lambda x: np.cos(2 * np.pi * x))
+    d = InitialData.from_gradient(cos, cos + 2.0)
+    exact = math.exp(-2.0 * t) * np.sin(2 * np.pi * grid.x) / (2 * np.pi)
+    phi_t = lagrangian_fields(d, t).phi_t.values
+    assert np.abs(phi_t - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b"])
+def test_timelike_fields_match_the_factor_product_up_to_breakdown(name):
+    # the expanded timelike assembly against phi_x = w_p w_q and its rate
+    d = preset(name)
+    c, (p0, q0) = engine._analysis(d)
+    tstar = blowup_time(d)
+    for t in (0.1, 0.5 * tstar, tstar - 1e-4):
+        (wp, wtp), (wq, wtq) = factor(p0, c, t), factor(q0, c, t)
+        lf = lagrangian_fields(d, t)
+        assert np.abs(lf.phi_x.values / (wp * wq) - 1.0).max() < 1e-12
+        rate = wtp * wq + wp * wtq
+        assert np.abs(lf.phi_tx.values - rate).max() < 1e-13 * np.abs(rate).max()
+
+
 def test_slope_dives_unbounded_at_breakdown():
     d = preset("fig1a")
     lf = lagrangian_fields(d, blowup_time(d) - 1e-4)

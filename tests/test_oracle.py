@@ -12,14 +12,17 @@ from hsgeo.oracle import OracleConfig, _march, compare, evolve, rhs
 from conftest import GRID
 from test_engine import _positive_kappa_data
 
-CFG = OracleConfig(n=256, dt=1e-3)
+CFG = OracleConfig(dt=1e-3)
 
 
 def test_config_caps_the_step():
+    # the cap is 0.5/n on the datum's own grid
+    with pytest.raises(ValueError, match="0.5/n"):
+        evolve(preset("fig1c"), 0.1, OracleConfig(dt=3e-3))
     with pytest.raises(ValueError):
-        OracleConfig(n=256, dt=3e-3)
-    with pytest.raises(ValueError):
-        OracleConfig(n=256, dt=0.0)
+        OracleConfig(dt=0.0)
+    u, rho = evolve(preset("fig1c", 64), 0.01)
+    assert u.grid.n == 64
 
 
 def test_rhs_fixed_points():
@@ -108,7 +111,7 @@ def test_march_equals_the_unstacked_reference_kernel(monkeypatch, name, n):
     for kappa, dealias in ((-1, True), (-1, False), (1, True)):
         if kappa != d.kappa:
             d = normalize(InitialData(d.u0, d.rho0, kappa))[0]
-        cfg = OracleConfig(n=n, dt=0.5 / n, dealias=dealias)
+        cfg = OracleConfig(dt=0.5 / n, dealias=dealias)
         got = _march(d, 0.0, 0.3, d.u0.values, d.rho0.values, cfg)
         with monkeypatch.context() as m:
             m.setattr(oracle, "_kernel", _reference_kernel)
@@ -155,7 +158,7 @@ def test_conserved_class_under_time_stepping():
 
 def test_positive_kappa_engine_against_the_stepper():
     d = _positive_kappa_data()
-    cfg = OracleConfig(n=64, dt=1e-3)
+    cfg = OracleConfig(dt=1e-3)
     uo, ro = evolve(d, 0.3, cfg)
     ue, re = eulerian_solution(d, 0.3)
     assert max((uo - ue).l2_norm(), (ro - re).l2_norm()) < 1e-6
@@ -170,10 +173,10 @@ def test_density_mass_and_momentum_survive():
 
 def test_fourth_order_in_time():
     d = preset("fig1a")
-    ur, rr = evolve(d, 0.2, OracleConfig(n=256, dt=1e-4))
+    ur, rr = evolve(d, 0.2, OracleConfig(dt=1e-4))
     errs = []
     for dt in (1.6e-3, 8e-4):
-        uo, ro = evolve(d, 0.2, OracleConfig(n=256, dt=dt))
+        uo, ro = evolve(d, 0.2, OracleConfig(dt=dt))
         errs.append(max((uo - ur).l2_norm(), (ro - rr).l2_norm()))
     ratio = errs[0] / errs[1]
     assert 10.0 < ratio < 22.0
