@@ -10,6 +10,7 @@ solver in this package expects normalized data.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,7 +32,16 @@ class SolutionClass(enum.Enum):
 
 @dataclass(frozen=True)
 class InitialData:
-    """Datum (u0, rho0) with coupling sign kappa. u0 must vanish at x = 0."""
+    """Datum (u0, rho0) with coupling sign kappa. u0 must vanish at x = 0.
+
+    The velocity gradient u0x is one spectral derivative of u0, taken on
+    first access and kept on the datum: every reader of the same datum
+    (classification, the breakdown clocks, admissibility, the flows)
+    shares it, at the cost of one more n-sample array per datum. u0 is
+    read-only, so the kept gradient cannot go stale; it is not a field
+    and takes no part in == or hash, and dataclasses.replace builds a
+    datum without it.
+    """
 
     u0: GridFunction
     rho0: GridFunction
@@ -49,7 +59,7 @@ class InitialData:
     def grid(self) -> Grid:
         return self.u0.grid
 
-    @property
+    @functools.cached_property
     def u0x(self) -> GridFunction:
         return derivative(self.u0)
 

@@ -11,7 +11,10 @@ first root of a factor, which exists only for slopes below the
 threshold -2 sqrt(-c) (every real slope for c > 0); sampled slopes
 within rounding distance of that threshold are set onto it in one
 place (`_branch_slopes`), and every breakdown reader takes them, with
-the class, from one spectral derivative of the datum (`_analysis`).
+the class, from the velocity gradient the datum keeps (`_analysis`),
+so a datum is differentiated once however many readers it meets. The
+clocks set, scan and root-solve the slopes in place (`_branch_slopes`,
+`_end`, `_roots`), so they hold little more than the two slope arrays.
 Every flow state, classical or weak, is a `LagrangianFields` built by
 one assembly from the branch slopes (`_flow`), and one reconstruction
 (`eulerian_fields`) turns any such state into Eulerian fields.
@@ -89,7 +92,9 @@ def _threshold(c: float) -> float:
 def _breaking(z: np.ndarray, c: float) -> np.ndarray:
     """Mask of the slopes whose factor has a positive root: the real
     ones below the threshold (a complex factor never vanishes)."""
-    return (z.imag == 0) & (z.real < _threshold(c))
+    if np.iscomplexobj(z):
+        return (z.imag == 0) & (z.real < _threshold(c))
+    return z < _threshold(c)
 
 
 def _branch_slopes(d: InitialData, c: float, u0x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,17 +111,24 @@ def _branch_slopes(d: InitialData, c: float, u0x: np.ndarray) -> tuple[np.ndarra
     the samples of the datum's velocity gradient.
     """
     r0 = d.rho0.values
-    tol = max(BORDER_TOL, 8.0 * u0x.size * EPS * float((np.abs(u0x) + np.abs(r0)).max()))
+    size = np.abs(u0x)
+    size += np.abs(r0)
+    tol = max(BORDER_TOL, 8.0 * u0x.size * EPS * float(size.max()))
     if d.kappa == 1:
         r0 = 1j * np.where(np.abs(r0) <= tol, 0.0, r0)
         return u0x + r0, u0x - r0
     thr = _threshold(c)
     p0, q0 = u0x + r0, u0x - r0
-    return np.where(np.abs(p0 - thr) <= tol, thr, p0), np.where(np.abs(q0 - thr) <= tol, thr, q0)
+    gap = size  # reused: the slopes are set in place, with no array per branch
+    for z in (p0, q0):
+        np.subtract(z, thr, out=gap)
+        np.abs(gap, out=gap)
+        z[gap <= tol] = thr
+    return p0, q0
 
 
 def _analysis(d: InitialData, c="normalized"):
-    """Class of a datum and its branch slopes, from one spectral derivative.
+    """Class of a datum and its branch slopes, from its velocity gradient.
 
     c chooses the class whose breakdown threshold the slopes are set
     onto (`_branch_slopes`): "normalized" takes the normalized class and
@@ -124,7 +136,8 @@ def _analysis(d: InitialData, c="normalized"):
     takes the Casimir itself, as the pseudosphere geodesics of unscaled
     data need, and returns it; a number is used as given, and the
     Casimir is returned. Every breakdown reader takes its slopes here,
-    so each call differentiates the datum once.
+    from the gradient the datum keeps (`InitialData.u0x`), so a datum is
+    differentiated once however many readers it meets.
     """
     u0x = d.u0x.values
     cas = _casimir(d, u0x)
@@ -144,16 +157,28 @@ def factor_root_times(z0, c: float) -> np.ndarray:
     z0 = np.asarray(z0)
     out = np.full(z0.shape, np.inf)
     hit = _breaking(z0, c)
-    z = z0[hit].real
+    out[hit] = _roots(z0[hit].real, c)
+    return out
+
+
+def _roots(z: np.ndarray, c: float) -> np.ndarray:
+    """Factor roots of the breaking slopes z, computed in place in z."""
     if c > 0:
         s = math.sqrt(c)
-        out[hit] = (np.pi / 2.0 + np.arctan(z / (2.0 * s))) / s
+        z /= 2.0 * s
+        np.arctan(z, out=z)
+        z += np.pi / 2.0
+        z /= s
     elif c == 0:
-        out[hit] = -2.0 / z
+        np.divide(-2.0, z, out=z)
     else:
         s = math.sqrt(-c)
-        out[hit] = np.log((z - 2.0 * s) / (z + 2.0 * s)) / (2.0 * s)
-    return out
+        den = z + 2.0 * s
+        z -= 2.0 * s
+        z /= den
+        np.log(z, out=z)
+        z /= 2.0 * s
+    return z
 
 
 def blowup_time(d: InitialData) -> float:
@@ -166,8 +191,14 @@ def blowup_time(d: InitialData) -> float:
 
 
 def _first_root(c: float, slopes) -> float:
-    """Earliest factor root over both branches of slopes."""
-    return float(min(factor_root_times(z, c).min() for z in slopes))
+    """Earliest factor root over both branches of slopes, solved only on
+    a copy of each branch's breaking slopes."""
+    first = math.inf
+    for z in slopes:
+        z = z[_breaking(z, c)].real
+        if z.size:
+            first = min(first, float(_roots(z, c).min()))
+    return first
 
 
 def singular_time_literal(d: InitialData) -> float:
@@ -182,15 +213,20 @@ def singular_time_literal(d: InitialData) -> float:
     c, slopes = _analysis(d)
     picks = []
     for z in slopes:
-        z = z[_breaking(z, c)].real
-        if z.size:
-            picks.append(z.max() if c == -1 else z.min())
+        hit = _breaking(z, c)
+        if hit.any():
+            picks.append(_end(z, hit, c == -1))
     return float(factor_root_times(np.array(picks), c).min()) if picks else math.inf
 
 
-def _scan_bisect(c: float, z: np.ndarray, t_max: float, step: float) -> float:
-    """First zero of a factor over the breaking slopes among z, by scan
-    and multisection; +inf if none before t_max.
+def _end(z: np.ndarray, hit: np.ndarray, top: bool) -> float:
+    """Largest (top) or smallest slope of z where hit is set, with no copy."""
+    return (np.max if top else np.min)(z.real, where=hit, initial=-math.inf if top else math.inf)
+
+
+def _scan_bisect(c: float, slopes, t_max: float, step: float) -> float:
+    """First zero of a factor over the breaking slopes of both branches,
+    by scan and multisection; +inf if none before t_max.
 
     The factors are scanned in steps of `step` for a sign change, and
     the first bracket is refined by the same vectorised factor call:
@@ -204,12 +240,16 @@ def _scan_bisect(c: float, z: np.ndarray, t_max: float, step: float) -> float:
     detects breakdown even where the two branches coincide and min phi_x
     only touches zero. At each t the factor is affine in the slope, so
     its minimum over the breaking slopes sits at the smallest or the
-    largest one: only those two are scanned.
+    largest one: only those two are scanned, read off each branch in
+    place.
     """
-    z = z[_breaking(z, c)].real
-    if z.size == 0:
+    lo, hi = math.inf, -math.inf
+    for z in slopes:
+        hit = _breaking(z, c)
+        lo, hi = min(lo, _end(z, hit, False)), max(hi, _end(z, hit, True))
+    if lo == math.inf:
         return math.inf
-    ends = np.array([z.min(), z.max()])
+    ends = np.array([lo, hi])
     t = 0.0
     while t < t_max:
         ts = np.minimum(t + step * np.arange(1, SCAN_BLOCK + 1), t_max)
@@ -233,9 +273,7 @@ def blowup_time_bisect(d: InitialData, t_max: float = 20.0, step: float = 1e-3) 
     """Breakdown time of normalized data located by scan and
     multisection (`_scan_bisect`), +inf if none found; independent of
     the closed-form roots used by blowup_time."""
-    c, z = _analysis(d)
-    z = np.concatenate(z)
-    return _scan_bisect(c, z, t_max, step)
+    return _scan_bisect(*_analysis(d), t_max, step)
 
 
 def is_global(d: InitialData) -> bool:

@@ -7,6 +7,7 @@ band-limited data, which is what every other module feeds in here.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from math import comb
@@ -200,18 +201,22 @@ def mean_zero_project(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, _demean(f.values))
 
 
-def _ik(n: int) -> np.ndarray:
-    # 2 pi i k for the integer frequencies k = 0..n/2 of the real FFT
-    return 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+@functools.lru_cache(maxsize=16)
+def _ik(n: int, at: int, value: float) -> np.ndarray:
+    """2 pi i k for the integer frequencies k = 0..n/2 of the real FFT,
+    with the entry at index `at` replaced by `value`; read-only, and
+    built once per variant for the 16 variants last used."""
+    ik = 2j * np.pi * np.fft.rfftfreq(n, d=1.0 / n)
+    ik[at] = value
+    ik.setflags(write=False)
+    return ik
 
 
 def _derivative(v: np.ndarray) -> np.ndarray:
     """Spectral derivative of every sample row of v (the last axis)."""
     n = v.shape[-1]
-    ik = _ik(n)
-    ik[-1] = 0.0
     vh = np.fft.rfft(v)
-    vh *= ik  # in place: one spectrum per row in flight, not two
+    vh *= _ik(n, -1, 0.0)  # in place: one spectrum per row in flight, not two
     return np.fft.irfft(vh, n)
 
 
@@ -221,9 +226,7 @@ def _antiderivative(v: np.ndarray) -> np.ndarray:
     fh = np.fft.rfft(v)
     mean = fh[..., :1].real / n
     fh[..., 0] = 0.0
-    ik = _ik(n)
-    ik[0] = 1.0  # dummy, mode already zeroed
-    fh /= ik
+    fh /= _ik(n, 0, 1.0)  # dummy 1 at k = 0, mode already zeroed
     fh[..., -1] = 0.0  # Nyquist antiderivative samples to zero on the nodes
     periodic = np.fft.irfft(fh, n)
     return periodic - periodic[..., :1] + mean * (np.arange(n) / n)

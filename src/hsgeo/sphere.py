@@ -239,6 +239,4 @@ def boundary_hit_time(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -
     """
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
-    c, z = _analysis(d, "casimir")
-    z = np.concatenate(z)
-    return _scan_bisect(c, z, t_max, step)
+    return _scan_bisect(*_analysis(d, "casimir"), t_max, step)

@@ -3,8 +3,8 @@
 On the admissible set (unit negative energy constant, slopes bounded
 below by the breakdown threshold) the flow map degenerates at isolated
 points but never folds, and the closed-form flow state of the engine
-(`engine._flow`, the one the classical flow uses) continues it past every
-classical breakdown. Pushing the Lagrangian velocity through
+(`engine._flow`, the one the classical flow uses), taken at the datum's
+own Casimir, continues it past every classical breakdown. Pushing the Lagrangian velocity through
 the flow map then yields density-velocity pairs that solve the system
 weakly for all time while conserving the indefinite energy.
 """
@@ -60,15 +60,39 @@ def admissibility(d: InitialData) -> AdmissibilityReport:
     i.e. no branch slope below the breakdown threshold -2, where slopes
     on the threshold up to rounding count as on it.
     """
-    return _admission(d)[0]
-
-
-def _admission(d: InitialData):
-    """Admissibility report of d and its branch slopes at the threshold -2."""
     c, (p0, q0) = _analysis(d, -1)
-    bad = np.nonzero(_breaking(p0, -1) | _breaking(q0, -1))[0]
-    report = AdmissibilityReport(c, abs(c + 1.0) <= CASIMIR_TOL, bad.size == 0, bad.tolist())
-    return report, (p0, q0)
+    bad = _breaking(p0, -1) | _breaking(q0, -1)
+    del p0, q0  # the node list, up to n Python ints, is built without them
+    bad = np.nonzero(bad)[0]
+    return AdmissibilityReport(c, abs(c + 1.0) <= CASIMIR_TOL, bad.size == 0, bad.tolist())
+
+
+def _weak_slopes(d: InitialData):
+    """Class of the weak flow of d and its branch slopes: the datum's
+    own Casimir c, whose threshold -2 sqrt(-c) the slopes are set onto.
+
+    Admissible data may miss c = -1 by up to CASIMIR_TOL. At the class
+    -1 such a datum keeps half-slopes of the size of that miss where
+    they should vanish, and their product, growing like e^{2t}, would
+    fold the flow; at its own class they vanish (fig1c scaled by
+    1 - 1e-11 folds past t = 12 otherwise). Data with c = -1 exactly
+    flow as at the class -1. NotAdmissible is raised for data that
+    fails `admissibility` or has a slope below its own threshold.
+    """
+    report = admissibility(d)
+    if not report.admissible:
+        raise NotAdmissible(
+            f"data is not admissible for the global weak flow: "
+            f"c = {report.c_value:.6g}, "
+            f"{len(report.violating_nodes)} node(s) violate the slope bound"
+        )
+    c, (p0, q0) = _analysis(d, "casimir")
+    if _breaking(p0, c).any() or _breaking(q0, c).any():
+        raise NotAdmissible(
+            f"data is not admissible for the global weak flow: a branch slope "
+            f"is below the threshold of its own class c = {c:.17g}"
+        )
+    return c, p0, q0
 
 
 @dataclass(frozen=True)
@@ -105,23 +129,17 @@ class WeakState(LagrangianFields):
 def weak_state(d: InitialData, t: float) -> WeakState:
     """Closed-form global flow state at time t >= 0.
 
-    The flow is the engine's one assembly (`engine._flow`), which is
-    stable for arbitrarily large t; the chart components are
-    f1 +- f2 = w_p, w_q, the two branch factors. alpha_t is
-    rho0 / phi_x exactly: the Wronskian of the two factor branches is
-    constant in time and equals rho0.
+    The flow is the engine's one assembly (`engine._flow`) at the
+    datum's own class (`_weak_slopes`), which is stable for arbitrarily
+    large t; the chart components are f1 +- f2 = w_p, w_q, the two
+    branch factors. alpha_t is rho0 / phi_x exactly: the Wronskian of
+    the two factor branches is constant in time and equals rho0.
     """
-    report, slopes = _admission(d)
-    if not report.admissible:
-        raise NotAdmissible(
-            f"data is not admissible for the global weak flow: "
-            f"c = {report.c_value:.6g}, "
-            f"{len(report.violating_nodes)} node(s) violate the slope bound"
-        )
+    c, p0, q0 = _weak_slopes(d)
     if t < 0.0:
         raise ValueError("t must be nonnegative")
     gr = d.grid
-    s, wp, wq = _flow(d, -1, *slopes, t)
+    s, wp, wq = _flow(d, c, p0, q0, t)
     return WeakState(
         **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
         alpha=gr.function(np.log(wp) - np.log(wq)),
@@ -159,10 +177,11 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     state. Zero up to quadrature error for admissible data.
     """
     s = weak_state(d, t)
-    # the second time derivative of the c = -1 phi_x of engine._flow, term by term
-    _, hp, hq, r0 = _half_slopes(-1, *_analysis(d, -1)[1])
-    em2 = math.exp(-t) ** 2
-    phi_ttx = 4.0 * em2 - 2.0 * (hp + hq) * em2 + r0 * (2.0 * math.cosh(2.0 * t))
+    # the second time derivative of the c < 0 phi_x of engine._flow, term by term
+    rate, hp, hq, r0 = _half_slopes(*_weak_slopes(d))
+    st = rate * t
+    em2 = math.exp(-st) ** 2
+    phi_ttx = (4.0 * em2 - 2.0 * (hp + hq) * em2 + r0 * (2.0 * math.cosh(2.0 * st))) * (rate * rate)
     phi_tt = antiderivative_from_zero(d.grid.function(phi_ttx))
     alpha_tt = -d.rho0 * s.phi_tx / (s.phi_x * s.phi_x)
 

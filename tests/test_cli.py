@@ -184,6 +184,19 @@ def test_geodesic_evaluates_its_branch_factors_once_per_frame(monkeypatch, capsy
     assert len(calls) <= 6
 
 
+def test_simulate_differentiates_its_datum_once(monkeypatch, capsys):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return derivative(f)
+
+    monkeypatch.setattr(data, "derivative", counted)
+    code, rep = _run_json(capsys, ["simulate", "--preset", "fig1c", "--n", "64", "--times", "0,1,2,5"])
+    assert code == 0 and len(rep["times"]) == 4
+    assert len(calls) == 1
+
+
 def test_geodesic_needs_the_negative_coupling(capsys):
     assert main(["geodesic", "--preset", "fig1b", "--kappa", "1"]) == 2
 

@@ -1,5 +1,6 @@
 """Initial data: presets, conserved class, scaling, scenario descriptors."""
 
+import dataclasses
 import json
 import math
 
@@ -155,6 +156,26 @@ def test_u0x_round_trips_the_gradient():
     vals = np.cos(2 * np.pi * x) + 0.25 * np.sin(4 * np.pi * x)
     d = _data(vals, np.zeros(GRID.n))
     assert (d.u0x - GRID.function(vals)).sup_norm() < 1e-12
+
+
+def test_u0x_is_kept_on_the_datum():
+    d = preset("fig1c", 64)
+    twin = InitialData(d.u0, d.rho0, d.kappa)
+    first = d.u0x
+    assert d.u0x is first
+    assert not first.values.flags.writeable
+    with pytest.raises(ValueError):
+        first.values[0] = 1.0
+    # the kept gradient is no field: equality, repr and hashing ignore it
+    assert "u0x" not in {f.name for f in dataclasses.fields(InitialData)}
+    assert d == twin and repr(d) == repr(twin)
+    for datum in (d, twin):
+        with pytest.raises(TypeError):  # the sample arrays are unhashable
+            hash(datum)
+    fresh = dataclasses.replace(d, rho0=d.rho0 * 2.0)
+    assert "u0x" not in vars(fresh)
+    assert fresh.u0x is not first
+    assert np.array_equal(fresh.u0x.values, first.values)
 
 
 def _scenario_doc(**extra):

@@ -23,7 +23,7 @@ from hsgeo.engine import (
     riccati,
     singular_time_literal,
 )
-from hsgeo.errors import BlowupReached, NotInvertible
+from hsgeo.errors import BlowupReached, NotInvertible, Singular
 from hsgeo.grid import Grid, GridFunction, antiderivative_from_zero, derivative
 from hsgeo.sphere import boundary_hit_time
 from hsgeo.weak import admissibility, flow_state
@@ -49,11 +49,14 @@ def test_riccati_spacelike_quarter_period():
 @given(finite_z, st.sampled_from([1, 0, -1]), small_t)
 def test_riccati_satisfies_its_own_ode(z0, c, t):
     h = 1e-6
-    z = riccati(np.array([z0]), c, t)[0]
-    if not math.isfinite(z) or abs(z) > 50:
+    try:
+        z = riccati(np.array([z0]), c, t)[0]
+        if not math.isfinite(z) or abs(z) > 50:
+            return
+        zp = riccati(np.array([z0]), c, t + h)[0]
+        zm = riccati(np.array([z0]), c, t - h)[0] if t >= h else z0
+    except Singular:  # a factor root at a sampled time (z0 = -6, c = 0, t = 1/3): z is unbounded
         return
-    zp = riccati(np.array([z0]), c, t + h)[0]
-    zm = riccati(np.array([z0]), c, t - h)[0] if t >= h else z0
     dz = (zp - zm) / (2 * h) if t >= h else (zp - z) / h
     assert abs(dz - (-0.5 * z * z - 2 * c)) < 1e-4 * max(1.0, z * z)
 
@@ -206,12 +209,14 @@ def test_multisection_takes_the_first_of_two_breaking_ends(c):
     roots = factor_root_times(z[:2], c)
     assert np.floor(roots / 1e-3)[0] == np.floor(roots / 1e-3)[1]
     assert roots[0] - roots[1] > 1e-10
-    got = engine._scan_bisect(c, z, 20.0, 1e-3)
+    got = engine._scan_bisect(c, (z,), 20.0, 1e-3)
     assert got == _bisect_reference(c, z)
     assert abs(got - roots[1]) < 4 * math.ulp(roots[1])
 
 
-def test_each_breakdown_reader_differentiates_once(monkeypatch):
+def test_a_sweep_member_differentiates_each_datum_once(monkeypatch):
+    # the seven readers of a breakdown sweep member, on the raw datum and
+    # its normalized copy, share the gradient each datum keeps
     calls = []
 
     def counted(f):
@@ -224,37 +229,44 @@ def test_each_breakdown_reader_differentiates_once(monkeypatch):
     base = grid.function(np.cos(2 * np.pi * grid.x))
     raw = InitialData.from_gradient(base, base * 2.0)
     d, _ = normalize(raw)
-    readers = [blowup_time, singular_time_literal, blowup_time_bisect, is_global, admissibility]
-    for call, arg in [(f, d) for f in readers] + [(boundary_hit_time, raw)]:
-        calls.clear()
-        call(arg)
-        assert len(calls) == 1, call.__name__
+    for call in (blowup_time, singular_time_literal, blowup_time_bisect, is_global, admissibility):
+        call(d)
+    boundary_hit_time(raw)
+    assert d is not raw
+    assert len(calls) == 2
 
 
 def test_breakdown_member_memory_stays_small():
     # the full per-member chain of the breakdown sweep on a spacelike
-    # member, whose slopes all break. Each reader peaks at about 0.30 MB,
-    # in its one derivative; a blowup_time that root-solves both branches
-    # concatenated peaks at 0.44 MB.
+    # member, whose slopes all break, and on the amplitude member r = 3,
+    # whose admissibility report lists a third of the nodes. Both data keep their
+    # gradient; the readers set the slopes and solve the roots in place,
+    # and the report frees the slopes before listing the nodes. The
+    # members peak at 0.27 and 0.20 MB, and at 0.30 and 0.23 MB when each
+    # reader differentiated its datum; a blowup_time that root-solves
+    # both branches concatenated peaks at 0.44 MB. The grid's wavenumber
+    # tables, built once per process, are built before measuring.
     grid = Grid(4096)
     base = grid.function(np.cos(2 * np.pi * grid.x))
-    rho0 = base * 0.5
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        raw = InitialData.from_gradient(base, rho0)
-        d, cls = normalize(raw)
-        assert cls.c > 0
-        blowup_time(d)
-        singular_time_literal(d)
-        blowup_time_bisect(d)
-        is_global(d)
-        admissibility(d)
-        boundary_hit_time(raw)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.36e6
+    assert InitialData.from_gradient(base, base).u0x is not None
+    for r in (0.5, 3.0):
+        rho0 = base * r
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            raw = InitialData.from_gradient(base, rho0)
+            d, cls = normalize(raw)
+            assert (cls.c > 0) == (r < 1)
+            blowup_time(d)
+            singular_time_literal(d)
+            blowup_time_bisect(d)
+            is_global(d)
+            assert len(admissibility(d).violating_nodes) > (grid.n // 4 if r > 1 else -1)
+            boundary_hit_time(raw)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3e6, r
 
 
 def test_literal_first_root_differs_for_crossing_factors():

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hsgeo.data import InitialData, preset
+from hsgeo.data import InitialData, normalize, preset
 from hsgeo.engine import blowup_time, eulerian_solution, lagrangian_fields
 from hsgeo.errors import BlowupReached, NotAdmissible
 from hsgeo.weak import (
@@ -94,14 +94,45 @@ def test_weak_and_classical_states_are_one_assembly():
 
 
 def test_casimir_defect_within_tolerance_is_projected_out():
-    # fig1c scaled by 1 - 1e-11: c = -1 + 2e-11 passes the class check, and
-    # the half-slope product r ~ 1e-11 has mean 2e-11, which sinh^2 t would
-    # carry into the winding of phi (2.4e-3 at t = 10) if it were not removed
+    # fig1c scaled by 1 - 1e-11: c = -1 + 2e-11 passes the class check; at
+    # the class -1 the half-slope product r ~ 1e-11 has mean 2e-11, which
+    # sinh^2 t would carry into the winding of phi (2.4e-3 at t = 10)
     lam = 1.0 - 1e-11
     d = InitialData.from_gradient(FIG1C.u0x * lam, FIG1C.rho0 * lam)
     assert admissibility(d).admissible
     for t in (5.0, 10.0):
         assert abs(integrate(weak_state(d, t).phi_x) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("t", [12.0, 15.0, 20.0])
+def test_admissible_data_off_the_unit_class_flow_at_long_times(t):
+    # fig1c scaled by 1 - 1e-11 is admissible (c = -1 + 2e-11). At the
+    # class -1 its half-slope h_q = 1e-11 grew like e^{2t} and folded phi
+    # past t = 12; at its own class h_q vanishes
+    d = preset("fig1c", 256)
+    lam = 1.0 - 1e-11
+    raw = InitialData(d.u0 * lam, d.rho0 * lam, -1)
+    norm, _ = normalize(raw)
+    assert norm is not raw and admissibility(raw).admissible
+    s, ref = weak_state(raw, t), weak_state(norm, t)
+    assert np.diff(s.phi.values).min() >= 0.0
+    assert s.phi_x.min() >= math.exp(-2.0 * t)
+    for name in ("phi", "phi_t", "phi_x", "phi_tx"):
+        assert np.abs(getattr(s, name).values - getattr(ref, name).values).max() <= 1e-9
+
+
+def test_slope_below_its_own_threshold_is_refused():
+    # rho0 = cos 2 pi x + 2 - 1e-10 (1 + cos 2 pi x) / 2 passes the report
+    # at the class -1 (q0 >= -2, c = -1 + 6e-11), but q0 = -2 at x = 1/2
+    # lies below the threshold -2 sqrt(-c) of its own class: that factor
+    # has a root, and the flow is refused with a typed error
+    d = preset("fig1c", 256)
+    cos = np.cos(2 * np.pi * d.grid.x)
+    raw = InitialData(d.u0, d.rho0 - 1e-10 * 0.5 * (1.0 + cos), -1)
+    assert admissibility(raw).admissible
+    for t in (0.0, 15.0):
+        with pytest.raises(NotAdmissible, match="own class"):
+            weak_state(raw, t)
 
 
 def test_density_transport_identity():
