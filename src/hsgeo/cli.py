@@ -39,7 +39,7 @@ from .errors import BlowupReached, HsError
 from .findim import _draw_horizontal, _draw_point, holomorphic_sec, plane_scan
 from .geometry import identity_defects
 from .grid import EPS, Grid, write_table, write_text
-from .oracle import OracleConfig, compare
+from .oracle import OracleConfig, _check_work, compare
 from .sphere import _geodesic_and_gap, boundary_hit_time
 from .weak import admissibility, energy, flow_state
 
@@ -297,9 +297,10 @@ def _cmd_curvature(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    d, meta = _load_data(args)
     times = _parse_times(args.times) if args.times else [0.1, 0.2, 0.3]
     cfg = OracleConfig(dt=args.dt if args.dt is not None else 1e-3)
+    _check_work(args.n, times, cfg)  # before the datum is built
+    d, meta = _load_data(args)
     report = compare(d, times, cfg)
     report["command"] = "compare"
     report["name"] = meta.get("name", "custom")

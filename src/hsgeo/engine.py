@@ -366,8 +366,17 @@ def _flow(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t: float):
 
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
     """Classical flow state at time t (normalized data), refused at or
-    past breakdown."""
+    past breakdown.
+
+    Data of the class -1 flows, and is refused, at its own Casimir, as
+    the weak flow does (`weak._weak_slopes`): a Casimir within rounding
+    of -1 leaves half-slopes of the size of the miss where they should
+    vanish, and their product, growing like e^{2t}, would fold the flow
+    unseen by the clock at -1 (fig1c scaled by 1 - 1e-11 past t = 12).
+    """
     c, (p0, q0) = _analysis(d)
+    if c == -1:
+        c, (p0, q0) = _analysis(d, "casimir")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     tstar = _first_root(c, (p0, q0))

@@ -20,6 +20,9 @@ from .grid import GridFunction, derivative, integrate
 
 SAFETY_MARGIN = 0.05
 SUP_LIMIT = 1e6
+# cap on RK4 steps x grid nodes of one march through a time list (`_check_work`):
+# 2^24 admits 4096 steps at n = 4096, i.e. t = 0.5 at the largest step 0.5/n
+MAX_STEP_NODES = 2**24
 
 
 @dataclass(frozen=True)
@@ -30,18 +33,20 @@ class OracleConfig:
     dealias: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
 
 
 def _kernel(n: int, kappa: int, dealias: bool):
-    """The map (u, rho) -> (u_t, rho_t) on sample arrays of the n-point grid.
+    """The map s -> (s_t, u, rho) on the (2, n/2 + 1) rfft spectra s of
+    (u, rho) on the n-point grid; u and rho are the samples of s.
 
     With q = u_x^2 + kappa rho^2, the normalized A^{-1} d/dx q is -(P - P(0))
     for P the periodic antiderivative of q - mean(q) without its Nyquist
-    mode, so u_t = P/2 - u u_x - P(0)/2. The 2/3 rule, when on, filters
-    the three products. Four FFT calls: u, u_x, the three products in
-    one stacked call, and u_t with rho_t in one stacked call.
+    mode, so u_t = P/2 - u u_x - P(0)/2; the constant -P(0)/2 enters as
+    -n P(0)/2 on mode 0. The 2/3 rule, when on, filters the three
+    products. Two FFT calls: the stacked irfft of (u, u_x, rho) and the
+    stacked rfft of the three products.
     """
     k = np.fft.rfftfreq(n, d=1.0 / n)
     ik = 2j * np.pi * k
@@ -51,22 +56,25 @@ def _kernel(n: int, kappa: int, dealias: bool):
     half[1:-1] = 0.5 * mask[1:-1] / ik[1:-1]
     flux = -ik * mask
     # the stacked inputs of the two batched FFT calls, refilled by every call
+    spec = np.empty((3, k.size), dtype=complex)
     prods = np.empty((3, n))
-    spec = np.empty((2, k.size), dtype=complex)
 
-    def f(u: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ux = np.fft.irfft(ik * np.fft.rfft(u), n)
+    def f(s: np.ndarray):
+        spec[0] = s[0]
+        np.multiply(ik, s[0], out=spec[1])
+        spec[2] = s[1]
+        u, ux, rho = np.fft.irfft(spec, n)
         np.add(ux * ux, kappa * (rho * rho), out=prods[0])
         np.multiply(u, ux, out=prods[1])
         np.multiply(u, rho, out=prods[2])
         q, adv, mass = np.fft.rfft(prods)
         ph = half * q
-        # half P(0): the value at x = 0 of a spectrum with no mean or Nyquist mode
-        p0 = 2.0 * ph.real.sum() / n
-        np.subtract(ph, mask * adv, out=spec[0])
-        np.multiply(flux, mass, out=spec[1])
-        ut, rhot = np.fft.irfft(spec, n)
-        return ut - p0, rhot
+        st = np.empty((2, k.size), dtype=complex)
+        np.subtract(ph, mask * adv, out=st[0])
+        # n P(0)/2: n times the value at x = 0 of a spectrum with no mean or Nyquist mode
+        st[0, 0] -= 2.0 * ph.real.sum()
+        np.multiply(flux, mass, out=st[1])
+        return st, u, rho
 
     return f
 
@@ -82,30 +90,65 @@ def rhs(
     density mean is preserved exactly by the spatial discretization.
     """
     gr = u.grid
-    ut, rhot = _kernel(gr.n, kappa, dealias)(u.values, rho.values)
+    s = np.fft.rfft(np.stack((u.values, rho.values)))
+    ut, rhot = np.fft.irfft(_kernel(gr.n, kappa, dealias)(s)[0], gr.n)
     return gr.function(ut), gr.function(rhot)
 
 
-def _step(u: np.ndarray, rho: np.ndarray, dt: float, f):
-    k1u, k1r = f(u, rho)
-    k2u, k2r = f(u + 0.5 * dt * k1u, rho + 0.5 * dt * k1r)
-    k3u, k3r = f(u + 0.5 * dt * k2u, rho + 0.5 * dt * k2r)
-    k4u, k4r = f(u + dt * k3u, rho + dt * k3r)
-    return (u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
-            rho + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r))
+def _bounded(u: np.ndarray, rho: np.ndarray) -> None:
+    if not (np.abs(u).max() <= SUP_LIMIT and np.abs(rho).max() <= SUP_LIMIT):
+        raise StepUnstable(f"field sup-norm exceeded {SUP_LIMIT:g} or turned non-finite "
+                           "during the march")
+
+
+def _step(s: np.ndarray, dt: float, f) -> np.ndarray:
+    """One RK4 step of the spectra s; the samples of s, which stage 1
+    produces, are checked on the way."""
+    k1, u, rho = f(s)
+    _bounded(u, rho)
+    k2 = f(s + 0.5 * dt * k1)[0]
+    k3 = f(s + 0.5 * dt * k2)[0]
+    k4 = f(s + dt * k3)[0]
+    return s + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _steps(span: float, dt: float) -> tuple[int, float]:
+    """Full RK4 steps of dt over span, and the remainder step (0.0 if none)."""
+    nfull = int(math.floor(span / dt + 1e-12))
+    rem = span - nfull * dt
+    return nfull, (rem if rem > 1e-12 else 0.0)
+
+
+def _check_work(n: int, times, cfg: OracleConfig) -> None:
+    """Refuse a march through the sorted times on n nodes whose RK4 steps
+    (counted as at least one) times n exceed MAX_STEP_NODES. It allocates
+    nothing of size n, so it can run before the datum is built."""
+    steps = 0
+    for t0, t1 in zip([0.0] + times, times):
+        if (t1 - t0) / cfg.dt > MAX_STEP_NODES:  # also where the ratio overflows
+            steps = MAX_STEP_NODES + 1
+            break
+        nfull, rem = _steps(t1 - t0, cfg.dt)
+        steps += nfull + (rem > 0.0)
+    if max(steps, 1) * n > MAX_STEP_NODES:
+        raise ValueError(f"RK4 steps x nodes of the march exceed MAX_STEP_NODES = "
+                         f"{MAX_STEP_NODES} (n = {n}, dt = {cfg.dt:g})")
 
 
 def _march(d: InitialData, t0: float, t1: float, u, rho, cfg: OracleConfig):
-    """RK4 steps of cfg.dt from t0, then a remainder step to t1. A field
-    whose sup-norm exceeds 1e6 or is not finite raises StepUnstable."""
-    f = _kernel(d.grid.n, d.kappa, cfg.dealias)
-    span = t1 - t0
-    nfull = int(math.floor(span / cfg.dt + 1e-12))
-    rem = span - nfull * cfg.dt
-    for dt in chain(repeat(cfg.dt, nfull), [rem] if rem > 1e-12 else []):
-        u, rho = _step(u, rho, dt, f)
-        if not (np.abs(u).max() <= SUP_LIMIT and np.abs(rho).max() <= SUP_LIMIT):
-            raise StepUnstable("field sup-norm exceeded 1e6 or turned non-finite during the march")
+    """RK4 steps of cfg.dt from t0, then a remainder step to t1, on the
+    rfft spectra of (u, rho): one rfft in, two FFT calls per stage, one
+    irfft out. Every state the march reaches, the last one included, is
+    checked: a field whose sup-norm exceeds SUP_LIMIT or is not finite
+    raises StepUnstable."""
+    n = d.grid.n
+    f = _kernel(n, d.kappa, cfg.dealias)
+    nfull, rem = _steps(t1 - t0, cfg.dt)
+    s = np.fft.rfft(np.stack((u, rho)))
+    for dt in chain(repeat(cfg.dt, nfull), [rem] if rem else []):
+        s = _step(s, dt, f)
+    u, rho = np.fft.irfft(s, n)
+    _bounded(u, rho)
     return u, rho
 
 

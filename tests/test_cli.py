@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hsgeo
-from hsgeo import data, engine, geometry, sphere, weak
+from hsgeo import data, engine, geometry, oracle, sphere, weak
 from hsgeo.cli import main
 from hsgeo.findim import fin_metric, j_action, quotient_sec, random_horizontal, random_point
 from hsgeo.geometry import (
@@ -401,6 +401,31 @@ def test_compare_refuses_t_max(capsys):
         main(["compare", "--preset", "lightlike", "--n", "64", "--t-max", "0.6"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --t-max" in capsys.readouterr().err
+
+
+def test_compare_refuses_work_past_its_cap_before_building_the_datum(monkeypatch, capsys):
+    # at n = 4096 and the largest step 0.5/n = 2^-13, 4096 steps fill
+    # MAX_STEP_NODES = 2^24 exactly; t = 0.3 (2458 steps) must stay admitted
+    dt = 0.5 / 4096
+    for t in (0.3, 0.5):
+        oracle._check_work(4096, [t], oracle.OracleConfig(dt=dt))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refused run built its datum or started its march")
+
+    monkeypatch.setattr("hsgeo.cli.preset", refuse)
+    monkeypatch.setattr("hsgeo.cli.compare", refuse)
+    one_past = ["compare", "--n", "4096", "--dt", repr(dt), "--times", repr(4097 * dt)]
+    for argv in (one_past, ["compare", "--dt", "1e-12"], ["compare", "--dt", "1e-320"],
+                 ["compare", "--n", str(2**24 + 2), "--times", "0"]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "MAX_STEP_NODES" in capsys.readouterr().err
+        assert peak < 2**16
 
 
 @pytest.mark.parametrize("argv", [

@@ -324,6 +324,20 @@ def test_cosine_flow_velocity_stays_exact_at_long_times(t):
     assert np.abs(phi_t - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
+@pytest.mark.parametrize("t", [12.0, 15.0, 20.0])
+def test_classical_flow_off_the_unit_class_does_not_fold(t):
+    # fig1c scaled by 1 - 1e-11 (c = -1 + 2e-11) never breaks; at the class
+    # -1 its half-slope h_q = 1e-11 grew like e^{2t} and min phi_x read 0.434,
+    # -26.2 and -5.9e5 at t = 12, 15, 20, where the weak flow reads 0.5
+    d = preset("fig1c", 256)
+    lam = 1.0 - 1e-11
+    d = InitialData(d.u0 * lam, d.rho0 * lam, -1)
+    assert blowup_time(d) == math.inf
+    got, want = lagrangian_fields(d, t).phi_x.values, weak.weak_state(d, t).phi_x.values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got.min() > 0.0
+
+
 @pytest.mark.parametrize("name", ["fig1a", "fig1b"])
 def test_timelike_fields_match_the_factor_product_up_to_breakdown(name):
     # the expanded timelike assembly against phi_x = w_p w_q and its rate

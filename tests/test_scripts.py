@@ -26,6 +26,7 @@ def _main(name):
      ["profile.csv", "final_slope.csv"]),
     ("curvature_scan", ["--n", "64", "--points", "3", "--dims", "1"],
      ["family.csv", "planes.csv"]),
+    ("closed_vs_stepping", ["--ns", "64", "--times", "0.1,0.3"], ["closed_vs_stepping.csv"]),
 ])
 def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name, *args, "--out", str(tmp_path)])
