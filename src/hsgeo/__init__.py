@@ -81,7 +81,9 @@ from .grid import (
     integrate,
     mean_zero_project,
     read_csv,
+    table_template,
     write_csv,
+    write_rows,
     write_table,
     write_text,
 )
@@ -103,9 +105,11 @@ from .sphere import (
 )
 from .weak import (
     AdmissibilityReport,
+    Flow,
     WeakState,
     admissibility,
     energy,
+    flow,
     flow_state,
     geodesic_residual,
     lagrangian_snapshot,

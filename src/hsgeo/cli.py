@@ -38,10 +38,10 @@ from .engine import (
 from .errors import BlowupReached, HsError
 from .findim import _draw_horizontal, _draw_point, holomorphic_sec, plane_scan
 from .geometry import identity_defects
-from .grid import EPS, Grid, write_table, write_text
+from .grid import EPS, Grid, table_template, write_rows, write_text
 from .oracle import OracleConfig, _check_work, compare
 from .sphere import _geodesic_and_gap, boundary_hit_time
-from .weak import admissibility, energy, flow_state
+from .weak import energy, flow
 
 SCHEMA = 1
 # hs curvature checks its samples in chunks that keep about this many
@@ -120,8 +120,8 @@ def _cmd_simulate(args) -> int:
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    adm = admissibility(d).admissible
-    tstar = blowup_time(d)
+    run = flow(d)  # the datum's one analysis: admission, class, slopes, clock
+    adm, tstar = run.admissible, run.t_star
     if not adm and times[-1] >= tstar:
         raise BlowupReached(
             f"requested t = {times[-1]:g} is not below the breakdown time {tstar:.6g} "
@@ -130,14 +130,14 @@ def _cmd_simulate(args) -> int:
 
     files = []
     energies = []
+    table = table_template("x,u,rho,ux_along_flow", d.grid.x, 3) if out else None
     for idx, t in enumerate(times):
-        s = flow_state(d, t)
+        s = run.state(t)
         u, rho = eulerian_fields(s)
         energies.append(energy(s))
         if out:
             name = f"state_{idx:04d}.csv"
-            write_table(out / name, "x,u,rho,ux_along_flow",
-                        [d.grid.x, u.values, rho.values, s.ux.values])
+            write_rows(out / name, table, [u.values, rho.values, s.ux.values])
             files.append({"t": t, "path": name})
 
     drift = max(abs(e - energies[0]) for e in energies)
@@ -176,12 +176,13 @@ def _cmd_geodesic(args) -> int:
     hit = boundary_hit_time(d)
     files = []
     mins = []
+    table = table_template("x,f1,f2", d.grid.x, 2) if out else None
     for idx, t in enumerate(times):
         f, gap = _geodesic_and_gap(d, t)
         mins.append(gap.min())
         if out:
             name = f"sphere_{idx:04d}.csv"
-            write_table(out / name, "x,f1,f2", [d.grid.x, f.f1.values, f.f2.values])
+            write_rows(out / name, table, [f.f1.values, f.f2.values])
             files.append({"t": t, "path": name})
     report = {
         "schema": SCHEMA,

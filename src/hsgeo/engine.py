@@ -16,8 +16,10 @@ so a datum is differentiated once however many readers it meets. The
 clocks set, scan and root-solve the slopes in place (`_branch_slopes`,
 `_end`, `_roots`), so they hold little more than the two slope arrays.
 Every flow state, classical or weak, is a `LagrangianFields` built by
-one assembly from the branch slopes (`_flow`), and one reconstruction
-(`eulerian_fields`) turns any such state into Eulerian fields.
+one assembly from the branch slopes (`_assembly`), which forms what
+does not depend on t once per datum and then gives a state per time, and
+one reconstruction (`eulerian_fields`) turns any such state into
+Eulerian fields.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import InitialData, _casimir, _unit_class
+from .data import CLASS_TOL, InitialData, _casimir, _unit_class
 from .errors import BlowupReached, NotInvertible, Singular
-from .grid import EPS, Grid, GridFunction, _interpolant, antiderivative_from_zero, derivative
+from .grid import EPS, Grid, GridFunction, _antiderivative, _interpolant, derivative
 
 SINGULAR_TOL = 1e-12
 INVERT_TOL = 1e-8
@@ -135,15 +137,27 @@ def _analysis(d: InitialData, c="normalized"):
     returns it (ValueError for data that is not normalized); "casimir"
     takes the Casimir itself, as the pseudosphere geodesics of unscaled
     data need, and returns it; a number is used as given, and the
-    Casimir is returned. Every breakdown reader takes its slopes here,
-    from the gradient the datum keeps (`InitialData.u0x`), so a datum is
+    Casimir is returned. The class -1, though, is always read at the
+    datum's own Casimir: for normalized data of that class, and when -1
+    is asked for and the Casimir is within CLASS_TOL of it. A Casimir
+    that misses -1 leaves half-slopes of the size of the miss where they
+    should vanish, and a slope on the threshold of one class can lie
+    below that of the other, so a clock or an admission check read at -1
+    could pass a flow that folds or breaks at its own class (fig1c
+    scaled by 1 - 1e-11 past t = 12). The clocks, `is_global`,
+    `weak.admissibility` and every flow therefore read one set of
+    slopes. Every breakdown reader takes its slopes here, from the
+    gradient the datum keeps (`InitialData.u0x`), so a datum is
     differentiated once however many readers it meets.
     """
     u0x = d.u0x.values
     cas = _casimir(d, u0x)
     if c == "normalized":
-        c = cas = _unit_class(d, u0x, cas)
-    elif c == "casimir":
+        c = _unit_class(d, u0x, cas)
+        if c == -1:
+            c = cas
+        return c, _branch_slopes(d, c, u0x)
+    if c == "casimir" or (c == -1 and abs(cas + 1.0) <= CLASS_TOL):
         c = cas
     return cas, _branch_slopes(d, c, u0x)
 
@@ -205,7 +219,7 @@ def singular_time_literal(d: InitialData) -> float:
     """Literal transcription of the breakdown-time formula, for comparison.
 
     This takes the infimum of the branch slopes *inside* the outer
-    concave map. For c = -1 that map (arccoth of y = -z/2) is
+    concave map. For c < 0 that map (arccoth of y = -z/2 sqrt(-c)) is
     decreasing, so the expression picks the last per-node root rather
     than the first and can disagree with blowup_time; both are reported
     by the CLI.
@@ -215,7 +229,7 @@ def singular_time_literal(d: InitialData) -> float:
     for z in slopes:
         hit = _breaking(z, c)
         if hit.any():
-            picks.append(_end(z, hit, c == -1))
+            picks.append(_end(z, hit, c < 0))
     return float(factor_root_times(np.array(picks), c).min()) if picks else math.inf
 
 
@@ -280,10 +294,11 @@ def is_global(d: InitialData) -> bool:
     """Whether the normalized flow exists for all time.
 
     Only the c = -1 class admits global solutions; the criterion is the
-    pointwise bound |rho0| <= u0x + 2 (both branch slopes stay >= -2).
+    pointwise bound |rho0| <= u0x + 2 sqrt(-c) at the datum's own
+    Casimir c (both branch slopes stay on or above the threshold).
     """
     c, (p0, q0) = _analysis(d)
-    return c == -1 and not (_breaking(p0, c).any() or _breaking(q0, c).any())
+    return c < 0 and not (_breaking(p0, c).any() or _breaking(q0, c).any())
 
 
 @dataclass(frozen=True)
@@ -295,7 +310,7 @@ class LagrangianFields:
     rho = rho0 / phi_x the density carried along the flow. The
     classical flow of either coupling (lagrangian_fields) and the
     global weak flow (weak.WeakState) share this state and its
-    assembly (`_flow`).
+    assembly (`_assembly`).
     """
 
     # eulerian_fields refuses a classical state this close to folding;
@@ -332,86 +347,114 @@ def _half_slopes(c: float, p0: np.ndarray, q0: np.ndarray):
     return s, hp, hq, r - r.mean()
 
 
-def _flow(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t: float):
-    """Flow state at time t from the branch slopes p0, q0 of class c,
-    with the branch factors w_p, w_q: the one assembly of every flow.
+def _assembly(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t_star=math.inf):
+    """The one assembly of every flow: the function of t that gives the
+    flow state at t from the branch slopes p0, q0 of class c, with the
+    branch factors w_p, w_q, and refuses t at or past t_star.
 
     phi_x = w_p w_q and phi_tx is its rate. For c >= 0, and so for every
     kappa = +1 datum, they are products of `factor` values and rates.
     For c < 0 the product is expanded over e^{-2st}, e^{-st} sinh st and
     sinh^2 st, whose coefficients are 1, hp + hq and the projected
-    product of `_half_slopes`: the product of the factor rates would
-    cancel terms of size e^{2st} in phi_tx and let the winding of phi and
-    the periodicity of phi_t drift by rounding times e^{2st}.
+    product of `_half_slopes`, formed here once for all times: the
+    product of the factor rates would cancel terms of size e^{2st} in
+    phi_tx and let the winding of phi and the periodicity of phi_t drift
+    by rounding times e^{2st}. phi and phi_t are one stacked
+    antiderivative of (phi_x, phi_tx).
+
+    Cost per state: O(n log n) time (two FFT calls) and O(n) memory;
+    the assembly keeps three n-arrays for c < 0, the two slopes else.
     """
     if c < 0:
         s, hp, hq, r0 = _half_slopes(c, p0, q0)
-        em, sh, ch = math.exp(-s * t), math.sinh(s * t), math.cosh(s * t)
-        em2, ssum = em * em, hp + hq
-        phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
-        phi_tx = s * (-2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch))
-        wp, wq = em + hp * sh, em + hq * sh
+
+        def factors(t):
+            em, sh, ch = math.exp(-s * t), math.sinh(s * t), math.cosh(s * t)
+            em2, ssum = em * em, hp + hq
+            phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
+            phi_tx = s * (-2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch))
+            return phi_x, phi_tx, em + hp * sh, em + hq * sh
     else:
-        wp, wtp = factor(p0, c, t)
-        wq, wtq = factor(q0, c, t)
-        phi_x, phi_tx = (wp * wq).real, (wtp * wq + wp * wtq).real
-    grid = d.grid
-    phi_x, phi_tx = grid.function(phi_x), grid.function(phi_tx)
-    state = LagrangianFields(
-        t, d.kappa, antiderivative_from_zero(phi_x), antiderivative_from_zero(phi_tx),
-        phi_x, phi_tx, d.rho0 / phi_x,
-    )
-    return state, wp, wq
+        def factors(t):
+            wp, wtp = factor(p0, c, t)
+            wq, wtq = factor(q0, c, t)
+            return (wp * wq).real, (wtp * wq + wp * wtq).real, wp, wq
+
+    def at(t: float):
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        if t >= t_star:
+            raise BlowupReached(f"t = {t} is not below the breakdown time {t_star:.6g}")
+        phi_x, phi_tx, wp, wq = factors(t)
+        phi, phi_t = _antiderivative(np.stack((phi_x, phi_tx)))
+        grid = d.grid
+        phi_x = grid.function(phi_x)
+        state = LagrangianFields(
+            t, d.kappa, grid.function(phi), grid.function(phi_t), phi_x,
+            grid.function(phi_tx), d.rho0 / phi_x,
+        )
+        return state, wp, wq
+
+    return at
 
 
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
     """Classical flow state at time t (normalized data), refused at or
     past breakdown.
 
-    Data of the class -1 flows, and is refused, at its own Casimir, as
-    the weak flow does (`weak._weak_slopes`): a Casimir within rounding
-    of -1 leaves half-slopes of the size of the miss where they should
-    vanish, and their product, growing like e^{2t}, would fold the flow
-    unseen by the clock at -1 (fig1c scaled by 1 - 1e-11 past t = 12).
+    Data of the class -1 flows, and is refused, at its own Casimir
+    (`_analysis`), as the weak flow does.
     """
-    c, (p0, q0) = _analysis(d)
-    if c == -1:
-        c, (p0, q0) = _analysis(d, "casimir")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    tstar = _first_root(c, (p0, q0))
-    if t >= tstar:
-        raise BlowupReached(f"t = {t} is not below the breakdown time {tstar:.6g}")
-    return _flow(d, c, p0, q0, t)[0]
+    c, slopes = _analysis(d)
+    return _assembly(d, c, *slopes, _first_root(c, slopes))(t)[0]
 
 
-def _invert(phi: np.ndarray, grid: Grid) -> np.ndarray:
+def _bracket(phi: np.ndarray, phi_x: np.ndarray, x: np.ndarray, h: float):
+    """Bracket [lo, hi] between adjacent grid labels of each label xi with
+    phi(xi) = x, from the node values of phi (`searchsorted`), and the
+    start of its Newton iteration: one Newton step, from the secant
+    point, on the cubic Hermite interpolant of the bracket's ends, which
+    hold phi and phi_x; the secant point itself where that step leaves
+    the bracket."""
+    n = phi.size
+    ends = np.append(phi, phi[0] + 1.0)
+    k = np.clip(np.searchsorted(ends, x, side="right"), 1, n)
+    fa, gap = ends[k - 1], ends[k] - ends[k - 1]
+    da, db = h * phi_x[k - 1], h * phi_x[k % n]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = np.clip(np.nan_to_num((x - fa) / gap, nan=0.5), 0.0, 1.0)
+        one = 1.0 - tau
+        herm = fa + tau * (gap * tau * (3.0 - 2.0 * tau) + one * (da * one - db * tau)) - x
+        slope = 6.0 * gap * tau * one + da * one * (1.0 - 3.0 * tau) - db * tau * (2.0 - 3.0 * tau)
+        step = tau - herm / slope
+    tau = np.where((step >= 0.0) & (step <= 1.0), step, tau)
+    lo = (k - 1) * h
+    return lo, k * h, lo + h * tau
+
+
+def _invert(phi: np.ndarray, phi_x: np.ndarray, grid: Grid) -> np.ndarray:
     """Labels xi with phi(xi) = x_j at the grid nodes, for a
-    nondecreasing phi with phi(0) = 0 and unit winding.
+    nondecreasing phi with phi(0) = 0 and unit winding, whose slope
+    samples are phi_x.
 
-    The node values of phi bracket each label between two adjacent grid
-    labels (`searchsorted`). Newton iteration on the trigonometric
-    interpolant of phi - x and its slope (`grid._interpolant`) starts
-    from the secant of the bracket; a step that leaves the bracket is
-    replaced by its midpoint, and every residual shrinks the bracket by
-    its sign, so degenerate labels (phi_x at or near zero) converge too.
-    A label stops once its residual or its step is a few rounding units;
-    converged labels leave the active set. NotInvertible is raised if
-    some label has not converged within INVERT_ITERS iterations.
+    Each label starts inside its bracket between two adjacent grid
+    labels, about h^4 from it where phi is smooth (`_bracket`). Newton
+    iteration on the trigonometric interpolants of phi - x and phi_x
+    (`grid._interpolant`, one stack) follows; a step that leaves the
+    bracket is replaced by its midpoint, and every residual shrinks the
+    bracket by its sign, so degenerate labels (phi_x at or near zero)
+    converge too. A label stops once its residual or its step is a few
+    rounding units; converged labels leave the active set. NotInvertible
+    is raised if some label has not converged within INVERT_ITERS
+    iterations.
 
-    Cost per call: O(n log n) to oversample phi - x and its slope, plus
-    O(n STENCIL) per iteration over the labels still active; O(n STENCIL)
-    memory.
+    Cost per call: O(n log n) to oversample phi - x and phi_x (one rfft
+    and one irfft), plus O(n STENCIL) per iteration over the labels still
+    active, two iterations on a resolved flow; O(n STENCIL) memory.
     """
     x = grid.x
-    bump = GridFunction(grid, phi - x)
-    at = _interpolant(bump.values, 1.0 + derivative(bump).values)
-    ends = np.append(phi, phi[0] + 1.0)
-    k = np.clip(np.searchsorted(ends, x, side="right"), 1, grid.n)
-    lo, hi = (k - 1) * grid.h, k * grid.h
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (x - ends[k - 1]) / (ends[k] - ends[k - 1])
-    xi = lo + grid.h * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+    at = _interpolant(np.stack((phi - x, phi_x)))
+    lo, hi, xi = _bracket(phi, phi_x, x, grid.h)
     act = np.arange(grid.n)
     for _ in range(INVERT_ITERS):
         pt = xi[act]
@@ -432,44 +475,59 @@ def _invert(phi: np.ndarray, grid: Grid) -> np.ndarray:
     raise NotInvertible(f"{act.size} inverse labels unconverged after {INVERT_ITERS} iterations")
 
 
-def compose_with_inverse(phi: np.ndarray, samples, grid: Grid) -> np.ndarray:
+def compose_with_inverse(phi: np.ndarray, samples, grid: Grid, phi_x=None) -> np.ndarray:
     """Samples of s(phi^{-1}(y)) at the grid nodes.
 
     phi must be nondecreasing with phi(0) = 0 and unit winding
     (phi(x+1) = phi(x) + 1); samples are the values of s at the same
     label nodes, one column (n,) or several (k, n), and the result has
-    the same shape. The inverse labels are found once (`_invert`), and
-    every column is evaluated there through its trigonometric
-    interpolant, so band-limited inputs compose with spectral accuracy,
-    also where phi_x vanishes.
+    the same shape. phi_x, the slope samples of phi, is its spectral
+    derivative unless given. The inverse labels are found once
+    (`_invert`), and every column is evaluated there through its
+    trigonometric interpolant, so band-limited inputs compose with
+    spectral accuracy, also where phi_x vanishes.
 
-    Cost per call: O(n log n) per column plus the inversion.
+    Cost per call: O(n log n) per column plus the inversion: four FFT
+    calls with phi_x given, two to oversample phi - x and phi_x and two
+    for the stack of columns, and two more to differentiate phi - x.
     """
+    if phi_x is None:
+        phi_x = 1.0 + derivative(GridFunction(grid, phi - grid.x)).values
+    xi = _invert(phi, phi_x, grid)  # its brackets and fine columns are freed before the stack is built
     one = np.ndim(samples) == 1
-    cols = [GridFunction(grid, s).values for s in ([samples] if one else samples)]
-    xi = _invert(phi, grid)  # its brackets are freed before the columns are oversampled
-    out = _interpolant(*cols)(xi)
-    return out[0] if one else np.array(out)
+    cols = np.array([GridFunction(grid, s).values for s in ([samples] if one else samples)])
+    out = _interpolant(cols)(xi)
+    return out[0] if one else out
 
 
 def eulerian_fields(s: LagrangianFields) -> tuple[GridFunction, GridFunction]:
     """(u, rho) on the fixed spatial grid from a flow state.
 
     The velocity phi_t, the initial density rho0 = rho phi_x and phi_x
-    are composed with the inverse flow map, and rho is rho0 / phi_x at
-    the inverse labels: the ratio itself is not band-limited once phi_x
-    is tiny, and composing it loses rho to 3e-3 at t = 5 on a datum
-    whose phi_x meets its e^{-2t} floor. u(0) is pinned to 0
-    (phi(0) = 0 and phi_t(0) = 0). A classical state with min phi_x
-    below INVERT_TOL is refused.
+    are composed with the inverse flow map, whose Newton slope is the
+    state's phi_x, and rho is rho0 / phi_x at the inverse labels: the
+    ratio itself is not band-limited once phi_x is tiny, and composing it
+    loses rho to 3e-3 at t = 5 on a datum whose phi_x meets its e^{-2t}
+    floor. u(0) is pinned to 0 (phi(0) = 0 and phi_t(0) = 0). A
+    classical state with min phi_x below INVERT_TOL is refused; a state
+    that passes degenerate labels divides by the composed phi_x held at
+    the state's floor, which it can round below (to 0.0 where the floor
+    is e^{-40}).
+
+    Cost per call: O(n log n) time, four FFT calls (six per frame with
+    the two of the state's assembly) and three stencil passes on a
+    resolved flow; O(n STENCIL) memory, at most three oversampled
+    columns at once.
     """
     if s.refuse_degenerate and s.phi_x.min() < INVERT_TOL:
         raise NotInvertible(f"min phi_x = {s.phi_x.min():.3e} below {INVERT_TOL:.0e} at t = {s.t}")
     grid = s.phi.grid
     px = s.phi_x.values
     cols = (s.phi_t.values, s.rho.values * px, px)
-    u, rho0, phi_x = compose_with_inverse(s.phi.values, cols, grid)
+    u, rho0, phi_x = compose_with_inverse(s.phi.values, cols, grid, px)
     u[0] = 0.0
+    if not s.refuse_degenerate:
+        np.maximum(phi_x, s.floor, out=phi_x)
     return GridFunction(grid, u), GridFunction(grid, rho0 / phi_x)
 
 

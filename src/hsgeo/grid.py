@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NonZeroMean
 
@@ -140,48 +141,63 @@ class GridFunction:
         return out if np.ndim(pts) else float(out[0])
 
 
-def _interpolant(*columns: np.ndarray):
+def _interpolant(columns):
     """Evaluator of the trigonometric interpolants of sample columns of
-    one grid at arbitrary points (a type-2 nonuniform FFT).
+    one grid, the rows of a (k, n) array or one (n,) array, at arbitrary
+    points (a type-2 nonuniform FFT).
 
-    Each column is oversampled once: its rfft spectrum is zero-padded
-    to a grid OVERSAMPLE times finer and brought back by one irfft,
-    with the Nyquist coefficient split evenly between +-n/2 so the
-    interpolant keeps its real cos(pi n y) term. The returned function
-    maps a 1-D array of points to one array of values per column, each
-    by STENCIL-point barycentric Lagrange interpolation (Berrut and
+    The columns are oversampled together: one rfft of the stack, its
+    spectra zero-padded to a grid OVERSAMPLE times finer, with the
+    Nyquist coefficient split evenly between +-n/2 so the interpolant
+    keeps its real cos(pi n y) term, and one irfft back. The returned
+    function maps a 1-D array of P points to a (k, P) array of values,
+    each by STENCIL-point barycentric Lagrange interpolation (Berrut and
     Trefethen, SIAM Rev. 2004) of the fine samples around the point,
     wrapped periodically; the stencil and its weights are shared by the
-    columns. A point on a fine-grid node, or within 2^-60 fine steps of
-    one, returns that node's sample. Building costs O(n log n) per
-    column, each evaluation O(STENCIL) per point and column.
+    columns, whose fine samples are read through a window view, with no
+    index array. A point on a fine-grid node, or within 2^-60 fine steps
+    of one, returns that node's sample; a non-finite point returns NaN.
+    Building costs O(n log n) time per column and keeps
+    k (OVERSAMPLE n + STENCIL) floats, twice that while the irfft runs;
+    each evaluation O(STENCIL) time per point and column, and two
+    (P, STENCIL) arrays.
     """
-    m = OVERSAMPLE * columns[0].size
+    cols = np.atleast_2d(columns)
+    k, n = cols.shape
+    m = OVERSAMPLE * n
     lead = STENCIL // 2 - 1
-    fine = []
-    for v in columns:
-        c = np.fft.rfft(v)
-        c[-1] *= 0.5
-        g = np.fft.irfft(c, m) * OVERSAMPLE
-        fine.append(np.concatenate([g[-lead:], g, g[: STENCIL - lead]]))  # periodic wrap
+    c = np.fft.rfft(cols)
+    c[:, -1] *= 0.5
+    c *= OVERSAMPLE  # a power of two: as exact as scaling the fine samples
+    g = np.fft.irfft(c, m)
+    windows = sliding_window_view(np.concatenate([g[:, -lead:], g, g[:, : STENCIL - lead]], axis=1),
+                                  STENCIL, axis=1)  # periodic wrap; (k, m + 1, STENCIL), a view
 
-    def at(pts: np.ndarray) -> list[np.ndarray]:
+    def at(pts: np.ndarray) -> np.ndarray:
         s = pts * m
         base = np.floor(s)
-        dist = (s - base)[:, None] - _OFFSETS
+        frac = s - base
         # that close to a node the interpolant moves by far less than a
-        # rounding, while 1/dist could overflow; rounding can leave
-        # s - base at 1.0, so the whole stencil is searched. A non-finite
-        # point gets index 0 and a NaN value.
-        hit = np.abs(dist) < 2.0**-60
-        node = hit.any(axis=1)
-        dist[hit] = 1.0
-        q = np.divide(_WEIGHTS, dist, out=dist)  # in place: one (len(pts), STENCIL) array less
-        q[node] = hit[node]
-        start = np.nan_to_num(np.mod(base, m)).astype(np.intp)
-        idx = start[:, None] + np.arange(STENCIL)
-        den = q.sum(axis=1)
-        return [np.einsum("ij,ij->i", q, f[idx]) / den for f in fine]
+        # rounding, while 1/dist could overflow. frac lies in [0, 1]: a
+        # point just below a node can leave it at 1.0, the stencil's next
+        # node. A non-finite point has frac NaN, reads node 0 and gets NaN.
+        right = 1.0 - frac < 2.0**-60
+        on = np.flatnonzero((frac < 2.0**-60) | right)
+        right = right[on]
+        frac[on] = 0.5
+        q = frac[:, None] - _OFFSETS
+        np.divide(_WEIGHTS, q, out=q)  # in place: one (P, STENCIL) array less
+        q[on] = 0.0
+        q[on, lead + right] = 1.0
+        bad = np.isnan(frac)
+        if bad.any():
+            base[bad] = 0.0
+        start = np.mod(base, m).astype(np.intp)
+        out = np.empty((k, s.size))
+        for row, win in zip(out, windows):
+            np.einsum("ij,ij->i", q, win[start], out=row)
+        out /= q.sum(axis=1)
+        return out
 
     return at
 
@@ -276,10 +292,25 @@ def a_inverse(f: GridFunction, demean: bool = False) -> GridFunction:
 def write_table(path, header: str, columns) -> None:
     """Write equal-length columns as CSV under a header line, every value
     at 17 significant digits (round-trip exact), one format per table."""
-    table = np.column_stack(columns)
-    rows, cols = table.shape
-    line = ",".join(["%.17g"] * cols) + "\n"
-    write_text(path, header + "\n" + (line * rows) % tuple(table.ravel().tolist()))
+    write_rows(path, table_template(header, columns[0], len(columns) - 1), columns[1:])
+
+
+def table_template(header: str, first: np.ndarray, more: int) -> str:
+    """Text of a CSV table under `header` whose first column is `first`,
+    formatted here once, with `more` fields left open in every row.
+
+    `write_rows` fills the open fields, so the tables of a run that share
+    their first column (the grid nodes of every frame) format it once;
+    the text is that of `write_table` on the full columns, byte for byte.
+    """
+    row = "%.17g" + ",%%.17g" * more + "\n"
+    return header.replace("%", "%%") + "\n" + (row * first.size) % tuple(first.tolist())
+
+
+def write_rows(path, template: str, columns) -> None:
+    """Write a `table_template` with its open fields filled row by row
+    from equal-length columns at 17 significant digits."""
+    write_text(path, template % tuple(np.transpose(columns).ravel().tolist()))
 
 
 def write_text(path, text: str) -> None:

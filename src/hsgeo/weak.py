@@ -3,27 +3,29 @@
 On the admissible set (unit negative energy constant, slopes bounded
 below by the breakdown threshold) the flow map degenerates at isolated
 points but never folds, and the closed-form flow state of the engine
-(`engine._flow`, the one the classical flow uses), taken at the datum's
-own Casimir, continues it past every classical breakdown. Pushing the Lagrangian velocity through
-the flow map then yields density-velocity pairs that solve the system
-weakly for all time while conserving the indefinite energy.
+(`engine._assembly`, the one the classical flow uses), taken at the
+datum's own Casimir, continues it past every classical breakdown.
+Pushing the Lagrangian velocity through the flow map then yields
+density-velocity pairs that solve the system weakly for all time while
+conserving the indefinite energy. A datum's flow, weak or classical, is
+analysed once (`flow`) and then assembled at any number of times.
 """
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import Callable, ClassVar
 
 import numpy as np
 
-from .data import InitialData
+from .data import CLASS_TOL, InitialData
 from .engine import (
     LagrangianFields,
     _analysis,
+    _assembly,
     _breaking,
-    _flow,
+    _first_root,
     _half_slopes,
     eulerian_fields,
-    lagrangian_fields,
 )
 from .errors import NotAdmissible
 from .geometry import TangentPair, christoffel
@@ -35,7 +37,7 @@ from .grid import (
 )
 from .sphere import GroupElement
 
-CASIMIR_TOL = 1e-9
+CASIMIR_TOL = CLASS_TOL  # condition A; within it engine._analysis reads slopes at the own Casimir
 DEGENERATE_NODE_TOL = 1e-14
 
 
@@ -53,46 +55,27 @@ class AdmissibilityReport:
         return self.condition_A and self.condition_B
 
 
+def _admission(d: InitialData):
+    """Casimir of d, the class its branch slopes are set at (its own
+    Casimir within CASIMIR_TOL of -1, else -1), the slopes, and the mask
+    of the nodes whose slopes lie below that class's threshold."""
+    cas, (p0, q0) = _analysis(d, -1)
+    c = cas if abs(cas + 1.0) <= CASIMIR_TOL else -1.0
+    return cas, c, p0, q0, _breaking(p0, c) | _breaking(q0, c)
+
+
 def admissibility(d: InitialData) -> AdmissibilityReport:
     """Check the two hypotheses of the global flow.
 
-    (A) the energy constant equals -1; (B) |rho0| <= u0x + 2 node-wise,
-    i.e. no branch slope below the breakdown threshold -2, where slopes
-    on the threshold up to rounding count as on it.
+    (A) the energy constant equals -1; (B) |rho0| <= u0x + 2 sqrt(-c)
+    node-wise, i.e. no branch slope below the breakdown threshold of the
+    datum's own Casimir c (of -1 where (A) fails), where slopes on the
+    threshold up to rounding count as on it.
     """
-    c, (p0, q0) = _analysis(d, -1)
-    bad = _breaking(p0, -1) | _breaking(q0, -1)
+    cas, _, p0, q0, bad = _admission(d)
     del p0, q0  # the node list, up to n Python ints, is built without them
     bad = np.nonzero(bad)[0]
-    return AdmissibilityReport(c, abs(c + 1.0) <= CASIMIR_TOL, bad.size == 0, bad.tolist())
-
-
-def _weak_slopes(d: InitialData):
-    """Class of the weak flow of d and its branch slopes: the datum's
-    own Casimir c, whose threshold -2 sqrt(-c) the slopes are set onto.
-
-    Admissible data may miss c = -1 by up to CASIMIR_TOL. At the class
-    -1 such a datum keeps half-slopes of the size of that miss where
-    they should vanish, and their product, growing like e^{2t}, would
-    fold the flow; at its own class they vanish (fig1c scaled by
-    1 - 1e-11 folds past t = 12 otherwise). Data with c = -1 exactly
-    flow as at the class -1. NotAdmissible is raised for data that
-    fails `admissibility` or has a slope below its own threshold.
-    """
-    report = admissibility(d)
-    if not report.admissible:
-        raise NotAdmissible(
-            f"data is not admissible for the global weak flow: "
-            f"c = {report.c_value:.6g}, "
-            f"{len(report.violating_nodes)} node(s) violate the slope bound"
-        )
-    c, (p0, q0) = _analysis(d, "casimir")
-    if _breaking(p0, c).any() or _breaking(q0, c).any():
-        raise NotAdmissible(
-            f"data is not admissible for the global weak flow: a branch slope "
-            f"is below the threshold of its own class c = {c:.17g}"
-        )
-    return c, p0, q0
+    return AdmissibilityReport(cas, abs(cas + 1.0) <= CASIMIR_TOL, bad.size == 0, bad.tolist())
 
 
 @dataclass(frozen=True)
@@ -114,6 +97,11 @@ class WeakState(LagrangianFields):
     def alpha_t(self) -> GridFunction:
         return self.rho
 
+    @property
+    def floor(self) -> float:
+        """Lower bound e^{-2t} of phi_x along the weak flow."""
+        return math.exp(-2.0 * self.t)
+
     def __post_init__(self):
         if abs(self.phi.values[0]) > 1e-9:
             raise ValueError("phi(0) must vanish")
@@ -121,38 +109,73 @@ class WeakState(LagrangianFields):
             raise ValueError("phi must have unit winding")
         if np.diff(self.phi.values).min() < -1e-12:
             raise ValueError("phi must be nondecreasing")
-        floor = math.exp(-2.0 * self.t)
-        if self.phi_x.values.min() < floor - 1e-9:
+        if self.phi_x.values.min() < self.floor - 1e-9:
             raise ValueError("phi_x fell below the admissible lower bound")
 
 
-def weak_state(d: InitialData, t: float) -> WeakState:
-    """Closed-form global flow state at time t >= 0.
+@dataclass(frozen=True)
+class Flow:
+    """The flow of one datum, analysed once (`flow`): the global weak flow
+    of admissible data, the classical closed form otherwise, refused at
+    or past its breakdown time t_star (+inf for the weak flow).
 
-    The flow is the engine's one assembly (`engine._flow`) at the
-    datum's own class (`_weak_slopes`), which is stable for arbitrarily
-    large t; the chart components are f1 +- f2 = w_p, w_q, the two
-    branch factors. alpha_t is rho0 / phi_x exactly: the Wronskian of
-    the two factor branches is constant in time and equals rho0.
+    The admission check, the class, the branch slopes and, for c < 0,
+    the half-slopes are fixed when the flow is built, so a run of T
+    output times costs one O(n) analysis plus T assemblies
+    (`engine._assembly`).
     """
-    c, p0, q0 = _weak_slopes(d)
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    gr = d.grid
-    s, wp, wq = _flow(d, c, p0, q0, t)
-    return WeakState(
-        **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
-        alpha=gr.function(np.log(wp) - np.log(wq)),
-    )
+
+    datum: InitialData
+    admissible: bool
+    t_star: float
+    assemble: Callable = field(repr=False)
+
+    def state(self, t: float) -> LagrangianFields:
+        """Flow state at time t: a WeakState on the weak flow, whose chart
+        components are f1 +- f2 = w_p, w_q, the two branch factors, and
+        whose alpha_t = rho0 / phi_x exactly (the Wronskian of the two
+        factor branches is constant in time and equals rho0)."""
+        s, wp, wq = self.assemble(t)
+        if not self.admissible:
+            return s
+        gr = self.datum.grid
+        return WeakState(
+            **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
+            alpha=gr.function(np.log(wp) - np.log(wq)),
+        )
+
+
+def flow(d: InitialData, weak: bool = False) -> Flow:
+    """The flow of d, analysed once: the global weak flow for admissible
+    data, at the datum's own class, which is stable for arbitrarily
+    large t; the classical closed form otherwise, at the normalized
+    class (ValueError for data that is not normalized). With weak=True,
+    data that fails `admissibility` raises NotAdmissible instead.
+    """
+    cas, c, p0, q0, bad = _admission(d)
+    if abs(cas + 1.0) <= CASIMIR_TOL and not bad.any():
+        return Flow(d, True, math.inf, _assembly(d, c, p0, q0))
+    if weak:
+        raise NotAdmissible(
+            f"data is not admissible for the global weak flow: "
+            f"c = {cas:.6g}, {np.count_nonzero(bad)} node(s) violate the slope bound"
+        )
+    c, slopes = _analysis(d)
+    t_star = _first_root(c, slopes)
+    return Flow(d, False, t_star, _assembly(d, c, *slopes, t_star))
+
+
+def weak_state(d: InitialData, t: float) -> WeakState:
+    """Closed-form global flow state at time t >= 0 (`flow`);
+    NotAdmissible for data that fails `admissibility`."""
+    return flow(d, weak=True).state(t)
 
 
 def flow_state(d: InitialData, t: float) -> LagrangianFields:
     """Flow state at time t: the global weak flow for admissible data,
-    the classical closed form otherwise (refused at or past breakdown)."""
-    try:
-        return weak_state(d, t)
-    except NotAdmissible:
-        return lagrangian_fields(d, t)
+    the classical closed form otherwise (refused at or past breakdown);
+    one time of `flow(d)`."""
+    return flow(d).state(t)
 
 
 def energy(s: LagrangianFields) -> float:
@@ -177,8 +200,9 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     state. Zero up to quadrature error for admissible data.
     """
     s = weak_state(d, t)
-    # the second time derivative of the c < 0 phi_x of engine._flow, term by term
-    rate, hp, hq, r0 = _half_slopes(*_weak_slopes(d))
+    # the second time derivative of the c < 0 phi_x of engine._assembly, term by term
+    _, c, p0, q0, _ = _admission(d)
+    rate, hp, hq, r0 = _half_slopes(c, p0, q0)
     st = rate * t
     em2 = math.exp(-st) ** 2
     phi_ttx = (4.0 * em2 - 2.0 * (hp + hq) * em2 + r0 * (2.0 * math.cosh(2.0 * st))) * (rate * rate)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from hsgeo.geometry import (
     nijenhuis,
     omega_form,
 )
-from hsgeo.grid import Grid, derivative, mean_zero_project
+from hsgeo.grid import Grid, derivative, mean_zero_project, write_table
 
 
 def _run_json(capsys, argv):
@@ -98,22 +99,18 @@ def test_simulate_from_scenario_file(tmp_path, capsys):
     assert rep["admissible"] is True
 
 
-@pytest.mark.parametrize("n, t", [(512, 2.6), (512, 5.0), (4096, 5.0)])
-def test_simulate_through_a_degenerate_flow_map(tmp_path, capsys, n, t):
-    # u0x = a cos 2 pi x, rho0 = a cos 2 pi x + 2 with a = 2: phi_x meets
-    # its e^{-2t} floor at x = 1/2, and the weak flow is explicit,
-    # phi = x + (1 - e^{-2t}) a sin(2 pi x) / (4 pi),
-    # u(t, phi) = e^{-2t} a sin(2 pi x) / (2 pi)
-    a = 2.0
+def _degenerate_scenario(tmp_path, n, a=2.0):
     doc = {"u0x": {"cos": {"1": a}}, "rho0": {"const": 2.0, "cos": {"1": a}}, "n": n}
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(doc))
-    out = tmp_path / "run"
-    code, _ = _run_json(capsys, ["simulate", "--scenario", str(path), "--times", repr(t),
-                                 "--out", str(out)])
-    assert code == 0
-    table = np.loadtxt(out / "state_0000.csv", delimiter=",", skiprows=1)
-    y, u = table[:, 0], table[:, 1]
+    return path
+
+
+def _degenerate_exact_u(y, t, a=2.0):
+    """u at the points y of the weak flow of u0x = a cos 2 pi x,
+    rho0 = a cos 2 pi x + 2, which is explicit:
+    phi = x + (1 - e^{-2t}) a sin(2 pi x) / (4 pi),
+    u(t, phi) = e^{-2t} a sin(2 pi x) / (2 pi); labels by bisection."""
     amp = (1.0 - math.exp(-2.0 * t)) * a / (4.0 * math.pi)
     lo, hi = y - amp, y + amp
     for _ in range(100):
@@ -121,9 +118,40 @@ def test_simulate_through_a_degenerate_flow_map(tmp_path, capsys, n, t):
         right = mid + amp * np.sin(2 * np.pi * mid) >= y
         lo, hi = np.where(right, lo, mid), np.where(right, mid, hi)
     x = 0.5 * (lo + hi)
-    exact = math.exp(-2.0 * t) * a * np.sin(2 * np.pi * x) / (2 * np.pi)
+    return math.exp(-2.0 * t) * a * np.sin(2 * np.pi * x) / (2 * np.pi)
+
+
+@pytest.mark.parametrize("n, t", [(512, 2.6), (512, 5.0), (4096, 5.0)])
+def test_simulate_through_a_degenerate_flow_map(tmp_path, capsys, n, t):
+    # a = 2: phi_x meets its e^{-2t} floor at x = 1/2
+    path = _degenerate_scenario(tmp_path, n)
+    out = tmp_path / "run"
+    code, _ = _run_json(capsys, ["simulate", "--scenario", str(path), "--times", repr(t),
+                                 "--out", str(out)])
+    assert code == 0
+    table = np.loadtxt(out / "state_0000.csv", delimiter=",", skiprows=1)
+    y, u = table[:, 0], table[:, 1]
+    exact = _degenerate_exact_u(y, t)
     # relative to sup|u| = e^{-2t} a / (2 pi), which is 1.4e-5 at t = 5
     assert np.abs(u - exact).max() < 1e-10 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("n", [128, 256, 512])
+def test_simulate_reaches_the_floor_of_a_degenerate_flow_map(tmp_path, capsys, n):
+    # at t = 20 the composed phi_x at y = 1/2 is rounding, at or below
+    # its floor e^{-40}: 0.0 at n = 256 when each frame differentiated
+    # phi - x, so rho0 / phi_x was 0/0, a warning and a refused NaN
+    # (exit 2); it is now held at the floor
+    path = _degenerate_scenario(tmp_path, n)
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = _run_json(capsys, ["simulate", "--scenario", str(path), "--times", "20",
+                                       "--out", str(out)])
+    assert code == 0 and rep["admissible"]
+    table = np.loadtxt(out / "state_0000.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(table))
+    assert np.abs(table[:, 1] - _degenerate_exact_u(table[:, 0], 20.0)).max() < 1e-16
 
 
 def test_blowup_report(capsys):
@@ -195,6 +223,136 @@ def test_simulate_differentiates_its_datum_once(monkeypatch, capsys):
     code, rep = _run_json(capsys, ["simulate", "--preset", "fig1c", "--n", "64", "--times", "0,1,2,5"])
     assert code == 0 and len(rep["times"]) == 4
     assert len(calls) == 1
+
+
+def _count_work(monkeypatch):
+    """Counters of the numpy FFT calls, the stencil passes of the
+    nonuniform evaluator and the datum analyses of a run."""
+    work = {"fft": 0, "passes": 0, "analyses": 0}
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def counted_fft(*a, _fn=fn, **k):
+            work["fft"] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(np.fft, name, counted_fft)
+    interpolant = engine._interpolant
+
+    def counted_interpolant(*columns):
+        at = interpolant(*columns)
+
+        def counted_at(pts):
+            work["passes"] += 1
+            return at(pts)
+
+        return counted_at
+
+    monkeypatch.setattr(engine, "_interpolant", counted_interpolant)
+    analysis = engine._analysis
+
+    def counted_analysis(*a):
+        work["analyses"] += 1
+        return analysis(*a)
+
+    for mod in (engine, weak):
+        monkeypatch.setattr(mod, "_analysis", counted_analysis)
+    return work
+
+
+@pytest.mark.parametrize("source", ["fig1c", "degenerate"])
+def test_simulate_frames_stream_from_one_analysis(monkeypatch, capsys, tmp_path, source):
+    # per frame: two FFT calls for phi and phi_t, two to oversample
+    # phi - x and phi_x for Newton, two for the composed columns; two
+    # Newton passes and one composition pass. The datum is analysed once
+    # per run (16 FFT calls and 4 passes per frame, and 3 analyses per
+    # frame, when every frame analysed it again)
+    if source == "fig1c":
+        argv = ["simulate", "--preset", "fig1c", "--n", "256"]
+    else:
+        argv = ["simulate", "--scenario", str(_degenerate_scenario(tmp_path, 512))]
+    counts = {}
+    for frames in (1, 6):
+        work = _count_work(monkeypatch)
+        times = ",".join(str(t) for t in [0.5, 1.2, 2.6, 5.0, 10.0, 20.0][:frames])
+        code, rep = _run_json(capsys, argv + ["--times", times, "--out", str(tmp_path / "run")])
+        assert code == 0 and len(rep["files"]) == frames
+        counts[frames] = dict(work)
+        monkeypatch.undo()
+    assert counts[1]["analyses"] == counts[6]["analyses"] == 1
+    assert counts[6]["fft"] - counts[1]["fft"] <= 6 * 5
+    assert counts[6]["passes"] - counts[1]["passes"] <= 3 * 5
+    assert counts[1]["fft"] <= 4 + 6 and counts[1]["passes"] <= 3  # the datum's own: 4
+
+
+def test_simulate_of_breaking_data_analyses_it_twice_per_run(monkeypatch, capsys):
+    # the admission check, and the classical flow at the normalized class
+    counts = []
+    for times in ("0.1", "0.1,0.2,0.3,0.4"):
+        work = _count_work(monkeypatch)
+        code, _ = _run_json(capsys, ["simulate", "--preset", "fig1a", "--times", times])
+        assert code == 0
+        counts.append(work["analyses"])
+        monkeypatch.undo()
+    assert counts == [2, 2]
+
+
+def test_simulate_memory_stays_below_the_per_frame_analysis(tmp_path, capsys):
+    # two frames of fig1c at n = 1024, tables written: 0.878e6 bytes
+    # traced when each frame analysed its datum, differentiated phi - x
+    # and built (n, 16) index arrays; 0.737e6 now. The bound is 90% of
+    # the former
+    argv = ["simulate", "--preset", "fig1c", "--n", "1024", "--times", "1.3,7.2",
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 0.9 * 0.878e6
+
+
+def test_simulate_tables_match_the_reference_inversion(tmp_path, capsys):
+    # x formatted per value, as tables were written; u and rho within
+    # 1e-12 of the inversion that differentiated phi - x and started at
+    # the secant point; the report's energy from the same states
+    from test_engine import _reference_eulerian
+
+    out = tmp_path / "run"
+    times = [0.5, 2.6, 10.0]
+    code, rep = _run_json(capsys, ["simulate", "--preset", "fig1c", "--times",
+                                   ",".join(map(str, times)), "--out", str(out)])
+    assert code == 0
+    d = data.preset("fig1c")
+    energies = []
+    for f, t in zip(rep["files"], times):
+        lines = (out / f["path"]).read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == [f"{x:.17g}" for x in d.grid.x]
+        table = np.loadtxt(out / f["path"], delimiter=",", skiprows=1)
+        s = weak.flow_state(d, t)
+        energies.append(weak.energy(s))
+        for got, want in zip(table.T[1:], (*_reference_eulerian(s), s.ux.values)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert abs(rep["energy"] - energies[0]) <= 1e-12 * abs(energies[0])
+    assert abs(rep["energy_drift"] - max(abs(e - energies[0]) for e in energies)) <= 1e-12
+
+
+def test_geodesic_tables_keep_their_bytes(tmp_path, capsys):
+    # written through one row template per run, byte for byte the tables
+    # of write_table on the full columns
+    out = tmp_path / "geo"
+    times = [0.0, 0.7, 3.0]
+    code, rep = _run_json(capsys, ["geodesic", "--preset", "fig1b", "--n", "64", "--times",
+                                   ",".join(map(str, times)), "--out", str(out)])
+    assert code == 0
+    d = data.preset("fig1b", 64)
+    for f, t in zip(rep["files"], times):
+        g = sphere.geodesic(d, t)
+        write_table(tmp_path / "ref.csv", "x,f1,f2", [d.grid.x, g.f1.values, g.f2.values])
+        assert (out / f["path"]).read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_geodesic_needs_the_negative_coupling(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hsgeo.engine import (
     singular_time_literal,
 )
 from hsgeo.errors import BlowupReached, NotInvertible, Singular
-from hsgeo.grid import Grid, GridFunction, antiderivative_from_zero, derivative
+from hsgeo.grid import Grid, GridFunction, _interpolant, antiderivative_from_zero, derivative
 from hsgeo.sphere import boundary_hit_time
 from hsgeo.weak import admissibility, flow_state
 from conftest import GRID, mean_zero_trig
@@ -429,6 +430,116 @@ def test_unconverged_inversion_is_refused(monkeypatch):
     monkeypatch.setattr(engine, "INVERT_ITERS", 1)
     with pytest.raises(NotInvertible):
         compose_with_inverse(phi, np.cos(2 * np.pi * grid.x), grid)
+
+
+def _reference_invert(phi, grid):
+    """The flow-map inversion as it was before the Newton slope came from
+    the state: phi - x differentiated for its slope, and each label
+    started at the secant point of its bracket. The reference for
+    engine._invert."""
+    x = grid.x
+    bump = GridFunction(grid, phi - x)
+    at = _interpolant(np.stack((bump.values, 1.0 + derivative(bump).values)))
+    ends = np.append(phi, phi[0] + 1.0)
+    k = np.clip(np.searchsorted(ends, x, side="right"), 1, grid.n)
+    lo, hi = (k - 1) * grid.h, k * grid.h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (x - ends[k - 1]) / (ends[k] - ends[k - 1])
+    xi = lo + grid.h * np.clip(np.nan_to_num(frac, nan=0.5), 0.0, 1.0)
+    act = np.arange(grid.n)
+    tol = engine.INVERT_ULPS * engine.EPS
+    for _ in range(engine.INVERT_ITERS):
+        pt = xi[act]
+        b, sl = at(pt)
+        res = pt + b - x[act]
+        above = res > 0.0
+        lo[act] = left = np.where(above, lo[act], pt)
+        hi[act] = right = np.where(above, pt, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = pt - res / sl
+        out = ~((new >= left) & (new <= right))
+        new[out] = 0.5 * (left + right)[out]
+        xi[act] = new
+        act = act[~((np.abs(res) <= tol) | (np.abs(new - pt) <= tol))]
+        if act.size == 0:
+            return xi
+    raise AssertionError("reference inversion did not converge")
+
+
+def _reference_eulerian(s):
+    """(u, rho) of a flow state through the reference inversion."""
+    px = s.phi_x.values
+    xi = _reference_invert(s.phi.values, s.phi.grid)
+    u, rho0, phi_x = _interpolant(np.stack((s.phi_t.values, s.rho.values * px, px)))(xi)
+    u[0] = 0.0
+    return u, rho0 / phi_x
+
+
+def cosine_datum(a, n):
+    """u0x = a cos 2 pi x, rho0 = a cos 2 pi x + 2: fig1c for a = 1, and
+    phi_x meeting its e^{-2t} floor at x = 1/2 for a = 2."""
+    grid = Grid(n)
+    return InitialData.from_gradient(grid.sample(lambda x: a * np.cos(2 * np.pi * x)),
+                                     grid.sample(lambda x: a * np.cos(2 * np.pi * x) + 2.0))
+
+
+@pytest.mark.parametrize("case", [
+    *[("cosine", a, 1024, t) for a in (0.75, 1.0, 1.25) for t in (1.3, 7.2)],
+    *[("cosine", 2.0, 512, t) for t in (0.5, 2.6, 5.0, 10.0)],
+    ("fig1c kappa +1", None, 256, 0.4),
+    ("fig1a", None, 256, 0.4),
+])
+def test_reconstruction_matches_the_reference_inversion(case):
+    name, a, n, t = case
+    if name == "cosine":
+        d = cosine_datum(a, n)
+    elif name == "fig1a":
+        d = preset("fig1a", n)
+    else:
+        d = normalize(InitialData(preset("fig1c", n).u0, preset("fig1c", n).rho0, 1))[0]
+    s = flow_state(d, t)
+    assert isinstance(s, weak.WeakState) == (name == "cosine")
+    u, rho = engine.eulerian_fields(s)
+    u_ref, rho_ref = _reference_eulerian(s)
+    assert np.abs(u.values - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
+    assert np.abs(rho.values - rho_ref).max() <= 1e-13 * np.abs(rho_ref).max()
+
+
+def test_hermite_start_lies_in_its_bracket_and_near_the_label():
+    # on fig1c at t = 3 (n = 256) the start misses the label by 3.3e-11,
+    # the secant point of its bracket by up to 6.8e-6
+    d = preset("fig1c")
+    s = flow_state(d, 3.0)
+    phi, px, grid = s.phi.values, s.phi_x.values, d.grid
+    lo, hi, xi = engine._bracket(phi, px, grid.x, grid.h)
+    assert np.all((lo <= xi) & (xi <= hi)) and np.all(hi - lo <= grid.h * (1 + 1e-12))
+    exact = _reference_invert(phi, grid)
+    assert np.abs(xi - exact).max() < 1e-9
+    ends = np.append(phi, phi[0] + 1.0)
+    k = np.searchsorted(ends, grid.x, side="right").clip(1, grid.n)
+    secant = lo + grid.h * (grid.x - ends[k - 1]) / (ends[k] - ends[k - 1])
+    assert np.abs(secant - exact).max() > 1e-6
+
+
+def test_weak_density_divides_by_phi_x_held_at_its_floor(monkeypatch):
+    # the composed phi_x can round to 0.0 or below where its floor is
+    # e^{-40}; a weak state divides by it held at that floor
+    s = weak.weak_state(cosine_datum(2.0, 64), 20.0)
+    compose = engine.compose_with_inverse
+    kept = {}
+
+    def rounded(phi, cols, grid, phi_x=None):
+        out = compose(phi, cols, grid, phi_x)
+        out[2, [5, 32]] = 0.0, -1e-17
+        kept["rho0"] = out[1].copy()
+        return out
+
+    monkeypatch.setattr(engine, "compose_with_inverse", rounded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rho = engine.eulerian_fields(s)
+    floor = math.exp(-40.0)
+    assert np.array_equal(rho.values[[5, 32]], kept["rho0"][[5, 32]] / floor)
 
 
 def test_eulerian_time_zero_is_the_data():

@@ -15,7 +15,9 @@ from hsgeo.grid import (
     integrate,
     mean_zero_project,
     read_csv,
+    table_template,
     write_csv,
+    write_rows,
     write_table,
     write_text,
 )
@@ -233,6 +235,29 @@ def test_write_table_formats_like_per_value_fstrings(tmp_path):
     write_table(path, "x,a,b", cols)
     rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*cols))
     assert path.read_bytes() == ("x,a,b\n" + rows).encode()
+
+
+def test_row_template_writes_the_bytes_of_write_table(tmp_path):
+    x = GRID.x
+    cols = [np.sin(2 * np.pi * x), np.array([-0.0, 5e-324, 1e300] + [-1.0 / 3.0] * (GRID.n - 3))]
+    write_table(tmp_path / "full.csv", "x,a%,b", [x, *cols])
+    template = table_template("x,a%,b", x, 2)
+    write_rows(tmp_path / "rows.csv", template, cols)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    write_rows(tmp_path / "rows.csv", template, cols[::-1])  # the template is reused as it is
+    write_table(tmp_path / "full.csv", "x,a%,b", [x, *cols[::-1]])
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+
+
+def test_eval_at_on_and_just_below_a_fine_node():
+    # s - floor(s) rounds to 1.0 just below a node: that node's sample,
+    # as on the node itself; a NaN point gives NaN and leaves the others
+    f = GRID.sample(lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x))
+    pts = np.array([-1e-20, 0.0, -5e-324, 1.0, np.nan, 0.3])
+    got = f.eval_at(pts)
+    assert got[0] == got[1] == got[2] == got[3]
+    assert np.isnan(got[4]) and np.all(np.isfinite(np.delete(got, 4)))
+    assert np.abs(np.delete(got, 4) - _dense_eval(f.values, np.delete(pts, 4))).max() < 1e-14
 
 
 def test_write_text_replaces_the_whole_file(tmp_path):

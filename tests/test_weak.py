@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hsgeo.data import InitialData, normalize, preset
-from hsgeo.engine import blowup_time, eulerian_solution, lagrangian_fields
+from hsgeo.engine import blowup_time, eulerian_solution, is_global, lagrangian_fields
 from hsgeo.errors import BlowupReached, NotAdmissible
 from hsgeo.weak import (
     admissibility,
@@ -122,16 +122,25 @@ def test_admissible_data_off_the_unit_class_flow_at_long_times(t):
 
 
 def test_slope_below_its_own_threshold_is_refused():
-    # rho0 = cos 2 pi x + 2 - 1e-10 (1 + cos 2 pi x) / 2 passes the report
-    # at the class -1 (q0 >= -2, c = -1 + 6e-11), but q0 = -2 at x = 1/2
-    # lies below the threshold -2 sqrt(-c) of its own class: that factor
-    # has a root, and the flow is refused with a typed error
+    # rho0 = cos 2 pi x + 2 - 1e-10 (1 + cos 2 pi x) / 2 has c = -1 + 6e-11
+    # and q0 >= -2, but q0 = -2 at x = 1/2 lies below the threshold
+    # -2 sqrt(-c) of its own class: that factor has a root. The report,
+    # the clocks and both flows read the slopes at that class, so all of
+    # them say so: not admissible, not global, and the classical flow
+    # stops at the clock's breakdown time
     d = preset("fig1c", 256)
     cos = np.cos(2 * np.pi * d.grid.x)
     raw = InitialData(d.u0, d.rho0 - 1e-10 * 0.5 * (1.0 + cos), -1)
-    assert admissibility(raw).admissible
+    report = admissibility(raw)
+    assert report.condition_A and not report.condition_B and 128 in report.violating_nodes
+    assert not is_global(raw)
+    tstar = blowup_time(raw)
+    assert 12.0 < tstar < 13.0
+    lagrangian_fields(raw, tstar - 1e-3)
+    with pytest.raises(BlowupReached):
+        lagrangian_fields(raw, tstar)
     for t in (0.0, 15.0):
-        with pytest.raises(NotAdmissible, match="own class"):
+        with pytest.raises(NotAdmissible, match="violate the slope bound"):
             weak_state(raw, t)
 
 
