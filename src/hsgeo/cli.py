@@ -22,7 +22,6 @@ from .data import (
     PRESET_NOTES,
     PRESETS,
     InitialData,
-    casimir,
     classify,
     normalize,
     preset,
@@ -40,7 +39,7 @@ from .findim import _draw_horizontal, _draw_point, holomorphic_sec, plane_scan
 from .geometry import identity_defects
 from .grid import EPS, Grid, table_template, write_rows, write_text
 from .oracle import OracleConfig, _check_work, compare
-from .sphere import _geodesic_and_gap, boundary_hit_time
+from .sphere import _geodesic_flow
 from .weak import energy, flow
 
 SCHEMA = 1
@@ -53,6 +52,8 @@ CURVATURE_ROWS = 22
 # grows like n^2 eps: at most 57.8 n^2 eps over seeds 0-49 at n = 1024,
 # 2048 and 4096, so its bound is max(1e-7, NIJENHUIS_K n^2 eps), K four times that
 NIJENHUIS_K = 232
+# cap on the output times of one hs simulate or hs geodesic run
+MAX_FRAMES = 2**16
 
 
 def _finite(x: float):
@@ -78,10 +79,12 @@ def _resolve_times(args, meta: dict | None = None) -> list[float]:
         return [float(t) for t in meta["times"]]
     t_max = args.t_max if args.t_max is not None else 1.0
     dt = args.dt if args.dt is not None else 0.05
-    if dt <= 0.0 or t_max < 0.0:
+    if not (dt > 0.0 and t_max >= 0.0):  # nan too
         raise ValueError("need dt > 0 and t-max >= 0")
-    count = int(math.floor(t_max / dt + 1e-9))
-    return [k * dt for k in range(count + 1)]
+    ratio = t_max / dt + 1e-9
+    if not ratio < MAX_FRAMES:  # also where the ratio overflows
+        raise ValueError(f"t-max / dt asks for more than MAX_FRAMES = {MAX_FRAMES} frames")
+    return [k * dt for k in range(int(ratio) + 1)]
 
 
 def _load_data(args) -> tuple[InitialData, dict]:
@@ -173,12 +176,12 @@ def _cmd_geodesic(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    hit = boundary_hit_time(d)
+    c, hit, at = _geodesic_flow(d)  # the datum's one analysis
     files = []
     mins = []
     table = table_template("x,f1,f2", d.grid.x, 2) if out else None
     for idx, t in enumerate(times):
-        f, gap = _geodesic_and_gap(d, t)
+        f, gap, _ = at(t)
         mins.append(gap.min())
         if out:
             name = f"sphere_{idx:04d}.csv"
@@ -189,7 +192,7 @@ def _cmd_geodesic(args) -> int:
         "command": "geodesic",
         "name": meta.get("name", "custom"),
         "n": d.grid.n,
-        "casimir": casimir(d),
+        "casimir": c,
         "times": times,
         "min_gap": mins,
         "boundary_hit": _finite(hit),

@@ -176,21 +176,21 @@ def factor_root_times(z0, c: float) -> np.ndarray:
 
 
 def _roots(z: np.ndarray, c: float) -> np.ndarray:
-    """Factor roots of the breaking slopes z, computed in place in z."""
+    """Factor roots of the breaking slopes z, computed in place in z:
+    with s = sqrt|c|, arctan2(2s, -z)/s for c > 0 and log1p(4s/(-z - 2s))/(2s)
+    for c < 0, which keep full accuracy as c -> 0, where pi/2 + arctan(z/2s)
+    and the log of (z - 2s)/(z + 2s), a ratio 1 + O(s), lose eps/s."""
+    if c == 0:
+        return np.divide(-2.0, z, out=z)
+    s = math.sqrt(abs(c))
+    np.negative(z, out=z)
     if c > 0:
-        s = math.sqrt(c)
-        z /= 2.0 * s
-        np.arctan(z, out=z)
-        z += np.pi / 2.0
+        np.arctan2(2.0 * s, z, out=z)
         z /= s
-    elif c == 0:
-        np.divide(-2.0, z, out=z)
     else:
-        s = math.sqrt(-c)
-        den = z + 2.0 * s
         z -= 2.0 * s
-        z /= den
-        np.log(z, out=z)
+        np.divide(4.0 * s, z, out=z)
+        np.log1p(z, out=z)
         z /= 2.0 * s
     return z
 
@@ -205,14 +205,11 @@ def blowup_time(d: InitialData) -> float:
 
 
 def _first_root(c: float, slopes) -> float:
-    """Earliest factor root over both branches of slopes, solved only on
-    a copy of each branch's breaking slopes."""
-    first = math.inf
-    for z in slopes:
-        z = z[_breaking(z, c)].real
-        if z.size:
-            first = min(first, float(_roots(z, c).min()))
-    return first
+    """Earliest factor root over both branches of slopes: the root of
+    their least breaking slope, read in place, as a root falls with its
+    slope."""
+    low = min(_end(z, _breaking(z, c), False) for z in slopes)
+    return float(_roots(np.array([low]), c)[0]) if low < math.inf else math.inf
 
 
 def singular_time_literal(d: InitialData) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import InitialData
-from .engine import _analysis, _scan_bisect, factor
+from .engine import _analysis, _first_root, factor
 from .errors import NotInU
 from .grid import Grid, GridFunction, antiderivative_from_zero, derivative, integrate
 
@@ -177,25 +177,24 @@ def canonical_representative(g: GroupElement) -> tuple[GroupElement, float]:
     return GroupElement(g.phi, g.alpha - 2.0 * beta), beta
 
 
-def _branch_factors(d: InitialData, t: float):
-    """Factors and their rates on the two branches, f1 +- f2 = w(u0x +- rho0).
-
-    The oscillator is driven by the conserved quarter-energy c of the
-    datum itself; no normalization is assumed.
+def _geodesic_flow(d: InitialData):
+    """The Casimir c of a datum, its boundary clock and its geodesic as a
+    function of time, from one analysis at c (no normalization is
+    assumed): t -> (point, gap w_p w_q, velocity pair), where the branch
+    factors w_p, w_q = f1 +- f2 are `factor` values.
     """
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
     c, slopes = _analysis(d, "casimir")
-    return [factor(z, c, t) for z in slopes]
-
-
-def _geodesic_and_gap(d: InitialData, t: float) -> tuple[SpherePoint, GridFunction]:
-    """The geodesic point and its gap at time t from one evaluation of
-    the branch factors (`geodesic`, `geodesic_gap`)."""
-    (wp, _), (wq, _) = _branch_factors(d, t)
     gr = d.grid
-    f = SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
-    return f, gr.function(wp * wq)
+
+    def at(t: float):
+        (wp, vp), (wq, vq) = (factor(z, c, t) for z in slopes)
+        f = SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
+        v = gr.function(0.5 * (vp + vq)), gr.function(0.5 * (vp - vq))
+        return f, gr.function(wp * wq), v
+
+    return c, _first_root(c, slopes), at
 
 
 def geodesic(d: InitialData, t: float) -> SpherePoint:
@@ -206,7 +205,7 @@ def geodesic(d: InitialData, t: float) -> SpherePoint:
     quarter-energy of the datum; no normalization of the datum is
     assumed. Only kappa = -1 data ride the indefinite pairing.
     """
-    return _geodesic_and_gap(d, t)[0]
+    return _geodesic_flow(d)[2](t)[0]
 
 
 def geodesic_gap(d: InitialData, t: float) -> GridFunction:
@@ -216,27 +215,26 @@ def geodesic_gap(d: InitialData, t: float) -> GridFunction:
     accurate to rounding where the difference of squares of components
     growing like e^{st} cancels.
     """
-    return _geodesic_and_gap(d, t)[1]
+    return _geodesic_flow(d)[2](t)[1]
 
 
 def geodesic_velocity(d: InitialData, t: float):
     """Time derivative of the geodesic, as a component pair."""
-    (_, vp), (_, vq) = _branch_factors(d, t)
-    gr = d.grid
-    return gr.function(0.5 * (vp + vq)), gr.function(0.5 * (vp - vq))
+    return _geodesic_flow(d)[2](t)[2]
 
 
-def boundary_hit_time(d: InitialData, t_max: float = 20.0, step: float = 1e-3) -> float:
-    """First time f1^2 - f2^2 vanishes somewhere along the geodesic.
+def boundary_hit_time(d: InitialData) -> float:
+    """First time f1^2 - f2^2 vanishes somewhere along the geodesic,
+    +inf if never.
 
-    Located by scan and multisection on the two factor fields f1 +- f2,
-    which solve g_tt + c g = 0 with g(0) = 1 and therefore have simple
-    roots; this sees tangential exits (vanishing density at the
-    breaking node) where min_x of the product only touches zero.
-    Returns +inf if nothing vanishes before t_max. Slopes on the
-    no-root threshold up to rounding count as on it, so data exactly on
-    the global-existence boundary is not misreported.
+    The earliest root of the two factor fields f1 +- f2 over all nodes,
+    from the root formulas at the datum's own Casimir; the factors
+    solve g_tt + c g = 0 with g(0) = 1 and have simple roots, so this
+    sees tangential exits (vanishing density at the breaking node) where
+    min_x of the product only touches zero. Slopes on the no-root
+    threshold up to rounding count as on it, so data exactly on the
+    global-existence boundary is not misreported.
     """
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
-    return _scan_bisect(*_analysis(d, "casimir"), t_max, step)
+    return _first_root(*_analysis(d, "casimir"))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hsgeo
-from hsgeo import data, engine, geometry, oracle, sphere, weak
+from hsgeo import cli, data, engine, geometry, oracle, sphere, weak
 from hsgeo.cli import main
 from hsgeo.findim import fin_metric, j_action, quotient_sec, random_horizontal, random_point
 from hsgeo.geometry import (
@@ -197,7 +197,10 @@ def test_geodesic_gap_free_of_cancellation(capsys):
         assert abs(gap - exact) < 1e-12 * exact
 
 
-def test_geodesic_evaluates_its_branch_factors_once_per_frame(monkeypatch, capsys):
+def test_geodesic_analyses_its_datum_once_per_run(monkeypatch, capsys):
+    # the frames, the boundary clock and the reported Casimir read one
+    # analysis (five, one per frame and one for the clock, when each
+    # frame analysed the datum again) of one derivative
     calls = []
 
     def counted(f):
@@ -206,10 +209,11 @@ def test_geodesic_evaluates_its_branch_factors_once_per_frame(monkeypatch, capsy
 
     for mod in (data, engine, sphere, weak):
         monkeypatch.setattr(mod, "derivative", counted)
-    code, _ = _run_json(capsys, ["geodesic", "--preset", "fig1c", "--times", "0,1,2,3"])
-    assert code == 0
-    # one per frame, one for boundary_hit_time and one for the casimir
-    assert len(calls) <= 6
+    work = _count_work(monkeypatch)
+    code, rep = _run_json(capsys, ["geodesic", "--preset", "fig1c", "--times", "0,1,2,3"])
+    assert code == 0 and len(rep["min_gap"]) == 4
+    assert work["analyses"] == 1
+    assert len(calls) == 1
 
 
 def test_simulate_differentiates_its_datum_once(monkeypatch, capsys):
@@ -255,7 +259,7 @@ def _count_work(monkeypatch):
         work["analyses"] += 1
         return analysis(*a)
 
-    for mod in (engine, weak):
+    for mod in (engine, sphere, weak):
         monkeypatch.setattr(mod, "_analysis", counted_analysis)
     return work
 
@@ -584,6 +588,30 @@ def test_compare_refuses_work_past_its_cap_before_building_the_datum(monkeypatch
             tracemalloc.stop()
         assert "MAX_STEP_NODES" in capsys.readouterr().err
         assert peak < 2**16
+
+
+@pytest.mark.parametrize("command", ["simulate", "geodesic"])
+def test_movies_refuse_frames_past_their_cap_before_building_them(monkeypatch, capsys, command):
+    # one frame past MAX_FRAMES and an overflowing t-max / dt exit 2
+    # before the time list is built or the run starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refused run started")
+
+    monkeypatch.setattr("hsgeo.cli.flow", refuse)
+    monkeypatch.setattr("hsgeo.cli._geodesic_flow", refuse)
+    cap = cli.MAX_FRAMES
+    assert main([command, "--n", "64", "--dt", "nan"]) == 2  # builds the parser, before measuring
+    for clock in (["--t-max", repr(cap * 0.5), "--dt", "0.5"], ["--t-max", "1e300", "--dt", "1e-300"]):
+        tracemalloc.start()
+        try:
+            assert main([command, "--n", "64"] + clock) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "MAX_FRAMES" in capsys.readouterr().err
+        assert peak < 2**17
+    args = cli._build_parser().parse_args([command, "--t-max", repr((cap - 1) * 0.5), "--dt", "0.5"])
+    assert len(cli._resolve_times(args)) == cap
 
 
 @pytest.mark.parametrize("argv", [

@@ -101,6 +101,30 @@ def test_factor_root_times_timelike_needs_slope_below_minus_two():
     assert np.isinf(roots[1:]).all()
 
 
+def test_factor_roots_keep_their_accuracy_near_the_lightlike_class():
+    # slope -2 breaks at arctan(s)/s (c = s^2 > 0) or artanh(s)/s (c = -s^2),
+    # which is 1 to rounding for |c| <= 1e-16; 5.3e-17 is the raw Casimir of
+    # the lightlike cosine datum at n = 4096. Root formulas that take the log
+    # of a ratio 1 + O(s), or pi/2 + arctan(-1/s), lose eps/s there
+    for c in (1e-16, -1e-16, 1e-8, -1e-8, 5.3e-17, 1e-4, -1e-4):
+        s = math.sqrt(abs(c))
+        exact = math.atan(s) / s if c > 0 else math.atanh(s) / s
+        root = factor_root_times([-2.0], c)[0]
+        assert abs(root - exact) <= 4 * math.ulp(exact), c
+        if abs(c) <= 1e-16:
+            assert abs(root - 1.0) <= 4 * math.ulp(1.0), c
+    # the boundary clock of the lightlike cosine datum at its raw Casimir
+    # 5.3e-17: the spectral u0x puts its least slope 1.8e-13 above -2, so
+    # its exact root is -2 / z_min = 1 + 8.9e-14 (the scan reads the same)
+    grid = Grid(4096)
+    base = grid.function(np.cos(2 * np.pi * grid.x))
+    raw = InitialData.from_gradient(base, base)
+    c, (p0, _) = engine._analysis(raw, "casimir")
+    assert 0 < c < 1e-16
+    exact = -2.0 / p0.min()
+    assert abs(boundary_hit_time(raw) - exact) <= 4 * math.ulp(exact)
+
+
 @given(st.floats(-20.0, -2.1), st.floats(1e-3, 1.0))
 def test_factor_roots_are_actual_zeros(z0, back_off):
     root = factor_root_times(np.array([z0]), -1)[0]
@@ -198,8 +222,12 @@ def test_multisection_equals_the_bisection_reference(n):
         assert got == _bisect_reference(c, np.concatenate(z))
         finite += math.isfinite(got)
         if raw.kappa == -1:
+            # the scan at the raw Casimir, and the boundary clock's root formula there
             c, z = engine._analysis(raw, "casimir")
-            assert boundary_hit_time(raw) == _bisect_reference(c, np.concatenate(z))
+            ref = _bisect_reference(c, np.concatenate(z))
+            assert engine._scan_bisect(*engine._analysis(raw, "casimir"), 20.0, 1e-3) == ref
+            hit = boundary_hit_time(raw)
+            assert hit == ref or abs(hit - ref) <= 4 * math.ulp(ref)
     assert finite > 40
 
 
