@@ -31,7 +31,6 @@ from .engine import (
     blowup_time,
     blowup_time_bisect,
     eulerian_fields,
-    is_global,
     singular_time_literal,
 )
 from .errors import BlowupReached, HsError
@@ -123,7 +122,7 @@ def _cmd_simulate(args) -> int:
     if out:
         out.mkdir(parents=True, exist_ok=True)
 
-    run = flow(d)  # the datum's one analysis: admission, class, slopes, clock
+    run = flow(d)  # the datum's one analysis: class, slopes, clock and admission
     adm, tstar = run.admissible, run.t_star
     if not adm and times[-1] >= tstar:
         raise BlowupReached(
@@ -207,14 +206,11 @@ def _cmd_geodesic(args) -> int:
 def _cmd_blowup(args) -> int:
     d, meta = _load_data(args)
     closed = blowup_time(d)
+    glob = math.isinf(closed)  # is_global(d), without analysing d again
+    literal = bisect = None
     if d.kappa == -1:
         literal = singular_time_literal(d)
         bisect = blowup_time_bisect(d)
-        glob = is_global(d)
-    else:
-        literal = None
-        bisect = None
-        glob = math.isinf(closed)
     cls = classify(d)
     report = {
         "schema": SCHEMA,

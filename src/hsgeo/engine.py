@@ -130,25 +130,25 @@ def _branch_slopes(d: InitialData, c: float, u0x: np.ndarray) -> tuple[np.ndarra
 
 
 def _analysis(d: InitialData, c="normalized"):
-    """Class of a datum and its branch slopes, from its velocity gradient.
+    """Class of a datum and its branch slopes, set at that class, from its
+    velocity gradient.
 
     c chooses the class whose breakdown threshold the slopes are set
-    onto (`_branch_slopes`): "normalized" takes the normalized class and
-    returns it (ValueError for data that is not normalized); "casimir"
-    takes the Casimir itself, as the pseudosphere geodesics of unscaled
-    data need, and returns it; a number is used as given, and the
-    Casimir is returned. The class -1, though, is always read at the
-    datum's own Casimir: for normalized data of that class, and when -1
-    is asked for and the Casimir is within CLASS_TOL of it. A Casimir
-    that misses -1 leaves half-slopes of the size of the miss where they
-    should vanish, and a slope on the threshold of one class can lie
-    below that of the other, so a clock or an admission check read at -1
-    could pass a flow that folds or breaks at its own class (fig1c
-    scaled by 1 - 1e-11 past t = 12). The clocks, `is_global`,
-    `weak.admissibility` and every flow therefore read one set of
-    slopes. Every breakdown reader takes its slopes here, from the
-    gradient the datum keeps (`InitialData.u0x`), so a datum is
-    differentiated once however many readers it meets.
+    onto (`_branch_slopes`), and that class is returned: "normalized"
+    takes the normalized class (ValueError for data that is not
+    normalized); "casimir" takes the Casimir itself, as the pseudosphere
+    geodesics of unscaled data need; a number is taken as given. The
+    class -1, though, is always read at the datum's own Casimir: for
+    normalized data of that class, and when -1 is asked for and the
+    Casimir is within CLASS_TOL of it. A Casimir that misses -1 leaves
+    half-slopes of the size of the miss where they should vanish, and a
+    slope on the threshold of one class can lie below that of the other,
+    so a clock or an admission check read at -1 could pass a flow that
+    folds or breaks at its own class (fig1c scaled by 1 - 1e-11 past
+    t = 12). The clocks, every flow and `weak.admissibility` therefore
+    read one set of slopes. Every breakdown reader takes its slopes
+    here, from the gradient the datum keeps (`InitialData.u0x`), so a
+    datum is differentiated once however many readers it meets.
     """
     u0x = d.u0x.values
     cas = _casimir(d, u0x)
@@ -156,10 +156,9 @@ def _analysis(d: InitialData, c="normalized"):
         c = _unit_class(d, u0x, cas)
         if c == -1:
             c = cas
-        return c, _branch_slopes(d, c, u0x)
-    if c == "casimir" or (c == -1 and abs(cas + 1.0) <= CLASS_TOL):
+    elif c == "casimir" or (c == -1 and abs(cas + 1.0) <= CLASS_TOL):
         c = cas
-    return cas, _branch_slopes(d, c, u0x)
+    return c, _branch_slopes(d, c, u0x)
 
 
 def factor_root_times(z0, c: float) -> np.ndarray:
@@ -288,14 +287,9 @@ def blowup_time_bisect(d: InitialData, t_max: float = 20.0, step: float = 1e-3) 
 
 
 def is_global(d: InitialData) -> bool:
-    """Whether the normalized flow exists for all time.
-
-    Only the c = -1 class admits global solutions; the criterion is the
-    pointwise bound |rho0| <= u0x + 2 sqrt(-c) at the datum's own
-    Casimir c (both branch slopes stay on or above the threshold).
-    """
-    c, (p0, q0) = _analysis(d)
-    return c < 0 and not (_breaking(p0, c).any() or _breaking(q0, c).any())
+    """Whether the normalized flow exists for all time: its breakdown
+    clock (`blowup_time`) reads +inf."""
+    return math.isinf(blowup_time(d))
 
 
 @dataclass(frozen=True)
@@ -395,15 +389,24 @@ def _assembly(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t_star=m
     return at
 
 
+def _classical(d: InitialData):
+    """The datum's one normalized analysis: its class c, its breakdown
+    clock t_star and the assembly of its flow (`_assembly`), refused at
+    or past t_star. Every flow of a normalized datum, classical or weak,
+    and every answer to which flow it takes, is built from it."""
+    c, slopes = _analysis(d)
+    t_star = _first_root(c, slopes)
+    return c, t_star, _assembly(d, c, *slopes, t_star)
+
+
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
     """Classical flow state at time t (normalized data), refused at or
-    past breakdown.
+    past breakdown; one time of `_classical`.
 
     Data of the class -1 flows, and is refused, at its own Casimir
     (`_analysis`), as the weak flow does.
     """
-    c, slopes = _analysis(d)
-    return _assembly(d, c, *slopes, _first_root(c, slopes))(t)[0]
+    return _classical(d)[2](t)[0]
 
 
 def _bracket(phi: np.ndarray, phi_x: np.ndarray, x: np.ndarray, h: float):

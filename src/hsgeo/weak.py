@@ -17,13 +17,12 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .data import CLASS_TOL, InitialData
+from .data import CLASS_TOL, InitialData, casimir
 from .engine import (
     LagrangianFields,
     _analysis,
-    _assembly,
     _breaking,
-    _first_root,
+    _classical,
     _half_slopes,
     eulerian_fields,
 )
@@ -37,7 +36,6 @@ from .grid import (
 )
 from .sphere import GroupElement
 
-CASIMIR_TOL = CLASS_TOL  # condition A; within it engine._analysis reads slopes at the own Casimir
 DEGENERATE_NODE_TOL = 1e-14
 
 
@@ -55,15 +53,6 @@ class AdmissibilityReport:
         return self.condition_A and self.condition_B
 
 
-def _admission(d: InitialData):
-    """Casimir of d, the class its branch slopes are set at (its own
-    Casimir within CASIMIR_TOL of -1, else -1), the slopes, and the mask
-    of the nodes whose slopes lie below that class's threshold."""
-    cas, (p0, q0) = _analysis(d, -1)
-    c = cas if abs(cas + 1.0) <= CASIMIR_TOL else -1.0
-    return cas, c, p0, q0, _breaking(p0, c) | _breaking(q0, c)
-
-
 def admissibility(d: InitialData) -> AdmissibilityReport:
     """Check the two hypotheses of the global flow.
 
@@ -72,10 +61,12 @@ def admissibility(d: InitialData) -> AdmissibilityReport:
     datum's own Casimir c (of -1 where (A) fails), where slopes on the
     threshold up to rounding count as on it.
     """
-    cas, _, p0, q0, bad = _admission(d)
+    cas = casimir(d)
+    c, (p0, q0) = _analysis(d, -1)
+    bad = _breaking(p0, c) | _breaking(q0, c)
     del p0, q0  # the node list, up to n Python ints, is built without them
     bad = np.nonzero(bad)[0]
-    return AdmissibilityReport(cas, abs(cas + 1.0) <= CASIMIR_TOL, bad.size == 0, bad.tolist())
+    return AdmissibilityReport(cas, abs(cas + 1.0) <= CLASS_TOL, bad.size == 0, bad.tolist())
 
 
 @dataclass(frozen=True)
@@ -119,10 +110,10 @@ class Flow:
     of admissible data, the classical closed form otherwise, refused at
     or past its breakdown time t_star (+inf for the weak flow).
 
-    The admission check, the class, the branch slopes and, for c < 0,
-    the half-slopes are fixed when the flow is built, so a run of T
-    output times costs one O(n) analysis plus T assemblies
-    (`engine._assembly`).
+    The class, the clock, the branch slopes and, for c < 0, the
+    half-slopes are fixed when the flow is built, from the datum's one
+    normalized analysis (`engine._classical`), so a run of T output
+    times costs one O(n) analysis plus T assemblies (`engine._assembly`).
     """
 
     datum: InitialData
@@ -146,23 +137,26 @@ class Flow:
 
 
 def flow(d: InitialData, weak: bool = False) -> Flow:
-    """The flow of d, analysed once: the global weak flow for admissible
-    data, at the datum's own class, which is stable for arbitrarily
-    large t; the classical closed form otherwise, at the normalized
-    class (ValueError for data that is not normalized). With weak=True,
-    data that fails `admissibility` raises NotAdmissible instead.
+    """The flow of d, from its one normalized analysis
+    (`engine._classical`): the global weak flow, stable for arbitrarily
+    large t, where the clock reads +inf at the class -1 (read at the
+    datum's own Casimir), which on normalized data is the verdict of
+    `admissibility`; the classical closed form otherwise, refused at its
+    clock (ValueError for data that is not normalized). With weak=True,
+    data that fails `admissibility` raises NotAdmissible instead; data
+    off the class -1 is refused on its Casimir, before the normalized
+    analysis could raise ValueError.
     """
-    cas, c, p0, q0, bad = _admission(d)
-    if abs(cas + 1.0) <= CASIMIR_TOL and not bad.any():
-        return Flow(d, True, math.inf, _assembly(d, c, p0, q0))
-    if weak:
-        raise NotAdmissible(
-            f"data is not admissible for the global weak flow: "
-            f"c = {cas:.6g}, {np.count_nonzero(bad)} node(s) violate the slope bound"
-        )
-    c, slopes = _analysis(d)
-    t_star = _first_root(c, slopes)
-    return Flow(d, False, t_star, _assembly(d, c, *slopes, t_star))
+    if not weak or abs(casimir(d) + 1.0) <= CLASS_TOL:
+        c, t_star, assemble = _classical(d)
+        admissible = math.isinf(t_star) and abs(c + 1.0) <= CLASS_TOL
+        if admissible or not weak:
+            return Flow(d, admissible, t_star, assemble)
+    rep = admissibility(d)
+    raise NotAdmissible(
+        f"data is not admissible for the global weak flow: "
+        f"c = {rep.c_value:.6g}, {len(rep.violating_nodes)} node(s) violate the slope bound"
+    )
 
 
 def weak_state(d: InitialData, t: float) -> WeakState:
@@ -201,7 +195,7 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     """
     s = weak_state(d, t)
     # the second time derivative of the c < 0 phi_x of engine._assembly, term by term
-    _, c, p0, q0, _ = _admission(d)
+    c, (p0, q0) = _analysis(d)
     rate, hp, hq, r0 = _half_slopes(c, p0, q0)
     st = rate * t
     em2 = math.exp(-st) ** 2

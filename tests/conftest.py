@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from hsgeo.grid import Grid, GridFunction
 
+# a fixed seed and no example database: every run draws the same examples
 settings.register_profile(
     "suite",
     max_examples=25,
     deadline=None,
+    derandomize=True,
+    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -289,8 +289,9 @@ def test_simulate_frames_stream_from_one_analysis(monkeypatch, capsys, tmp_path,
     assert counts[1]["fft"] <= 4 + 6 and counts[1]["passes"] <= 3  # the datum's own: 4
 
 
-def test_simulate_of_breaking_data_analyses_it_twice_per_run(monkeypatch, capsys):
-    # the admission check, and the classical flow at the normalized class
+def test_simulate_of_breaking_data_analyses_it_once_per_run(monkeypatch, capsys):
+    # the clock of the normalized analysis decides admission, so breaking
+    # data is not analysed a second time for an admission check
     counts = []
     for times in ("0.1", "0.1,0.2,0.3,0.4"):
         work = _count_work(monkeypatch)
@@ -298,7 +299,16 @@ def test_simulate_of_breaking_data_analyses_it_twice_per_run(monkeypatch, capsys
         assert code == 0
         counts.append(work["analyses"])
         monkeypatch.undo()
-    assert counts == [2, 2]
+    assert counts == [1, 1]
+
+
+def test_blowup_analyses_its_datum_once_per_clock(monkeypatch, capsys):
+    # closed form, literal and multisection; global is the closed clock
+    # read at +inf, not a fourth analysis
+    work = _count_work(monkeypatch)
+    code, rep = _run_json(capsys, ["blowup", "--preset", "fig1a"])
+    assert code == 0 and rep["global"] is False
+    assert work["analyses"] == 3
 
 
 def test_simulate_memory_stays_below_the_per_frame_analysis(tmp_path, capsys):

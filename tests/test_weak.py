@@ -13,6 +13,7 @@ from hsgeo.errors import BlowupReached, NotAdmissible
 from hsgeo.weak import (
     admissibility,
     energy,
+    flow,
     geodesic_residual,
     lagrangian_snapshot,
     weak_residual,
@@ -55,8 +56,13 @@ def test_wrong_class_fails_condition_a():
 
 
 def test_flow_refuses_inadmissible_data():
-    with pytest.raises(NotAdmissible):
-        weak_state(FIG1A, 1.0)
+    # fig1a breaks; fig1c x 1.01 has c = -1.0201, off the class -1 and not
+    # normalized, so it is refused on its Casimir before any normalized
+    # analysis could raise ValueError on it
+    off = InitialData(FIG1C.u0 * 1.01, FIG1C.rho0 * 1.01, -1)
+    for d in (FIG1A, off):
+        with pytest.raises(NotAdmissible, match="violate the slope bound"):
+            weak_state(d, 1.0)
 
 
 def test_state_at_time_zero_is_the_data():
@@ -142,6 +148,62 @@ def test_slope_below_its_own_threshold_is_refused():
     for t in (0.0, 15.0):
         with pytest.raises(NotAdmissible, match="violate the slope bound"):
             weak_state(raw, t)
+
+
+def _agreement_family():
+    """Data around the class -1 and the breakdown threshold: cosine data
+    u0x = a cos 2 pi x, rho0 = u0x + 2 scaled to c = -1 + delta (its
+    slope q0 sits on its own threshold), the fig1c datum with a slope
+    just below its own threshold, the six presets at both couplings and
+    the zero datum."""
+    deltas = (0.0, 1e-13, -1e-13, 1e-11, -1e-11, 5e-10, -5e-10, 1.1e-9, -1.1e-9)
+    for n in (64, 256):
+        base = preset("fig1c", n)
+        cos = np.cos(2 * np.pi * base.grid.x)
+        for a in (0.5, 1.0, 2.0):
+            for delta in deltas:
+                lam = math.sqrt(1.0 - delta)
+                yield InitialData(base.u0 * (a * lam), (base.u0x * a + 2.0) * lam, -1)
+        yield InitialData(base.u0, base.rho0 - 1e-10 * 0.5 * (1.0 + cos), -1)
+        for name in ("fig1a", "fig1b", "fig1c", "lightlike", "spacelike", "stationary"):
+            d = preset(name, n)
+            for kappa in (-1, 1):
+                yield normalize(InitialData(d.u0, d.rho0, kappa))[0]
+    zero = preset("fig1c", 64).grid.zero()
+    yield InitialData(zero, zero, -1)
+
+
+def test_global_admissible_and_clock_answers_agree():
+    # one analysis decides every flow: is_global is the clock at +inf,
+    # the flow admits exactly what the admissibility report admits, and
+    # its refusal time is the clock. Unnormalized data (a Casimir past
+    # CLASS_TOL of -1) has no clock and is refused by the weak flow
+    seen = set()
+    for d in _agreement_family():
+        report = admissibility(d)
+        try:
+            tstar = blowup_time(d)
+        except ValueError:
+            assert not report.condition_A
+            for call in (is_global, flow):
+                with pytest.raises(ValueError):
+                    call(d)
+            with pytest.raises(NotAdmissible):
+                weak_state(d, 1.0)
+            seen.add("unnormalized")
+            continue
+        assert is_global(d) == math.isinf(tstar)
+        run = flow(d)
+        assert run.admissible == report.admissible
+        assert run.t_star == tstar
+        if report.admissible:
+            assert math.isinf(tstar)
+            weak_state(d, 1.0)
+        else:
+            with pytest.raises(NotAdmissible, match="violate the slope bound"):
+                weak_state(d, 1.0)
+        seen.add((report.admissible, math.isinf(tstar)))
+    assert seen == {"unnormalized", (True, True), (False, True), (False, False)}
 
 
 def test_density_transport_identity():
