@@ -35,12 +35,13 @@ class InitialData:
     """Datum (u0, rho0) with coupling sign kappa. u0 must vanish at x = 0.
 
     The velocity gradient u0x is one spectral derivative of u0, taken on
-    first access and kept on the datum: every reader of the same datum
-    (classification, the breakdown clocks, admissibility, the flows)
-    shares it, at the cost of one more n-sample array per datum. u0 is
-    read-only, so the kept gradient cannot go stale; it is not a field
-    and takes no part in == or hash, and dataclasses.replace builds a
-    datum without it.
+    first access and kept on the datum, and so is the Casimir read from
+    it (`casimir`): every reader of the same datum (classification, the
+    breakdown clocks, admissibility, the flows) shares them, at the cost
+    of one more n-sample array per datum. u0 and rho0 are read-only, so
+    the kept values cannot go stale; they are not fields and take no
+    part in == or hash, and dataclasses.replace builds a datum without
+    them.
     """
 
     u0: GridFunction
@@ -62,6 +63,11 @@ class InitialData:
     @functools.cached_property
     def u0x(self) -> GridFunction:
         return derivative(self.u0)
+
+    @functools.cached_property
+    def _casimir(self) -> float:
+        u0x, r0 = self.u0x.values, self.rho0.values
+        return 0.25 * float((u0x * u0x + self.kappa * (r0 * r0)).mean())
 
     @classmethod
     def from_gradient(cls, u0x: GridFunction, rho0: GridFunction, kappa: int = -1) -> "InitialData":
@@ -91,13 +97,7 @@ class Classification:
 
 def casimir(d: InitialData) -> float:
     """c = (1/4) int(u0x^2 + kappa rho0^2) dx."""
-    return _casimir(d, d.u0x.values)
-
-
-def _casimir(d: InitialData, u0x: np.ndarray) -> float:
-    """Casimir of d from the samples of its velocity gradient."""
-    r0 = d.rho0.values
-    return 0.25 * float((u0x * u0x + d.kappa * (r0 * r0)).mean())
+    return d._casimir
 
 
 def classify(d: InitialData) -> Classification:

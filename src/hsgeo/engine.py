@@ -30,7 +30,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import CLASS_TOL, InitialData, _casimir, _unit_class
+from .data import CLASS_TOL, InitialData, _unit_class
 from .errors import BlowupReached, NotInvertible, Singular
 from .grid import EPS, Grid, GridFunction, _antiderivative, _interpolant, derivative
 
@@ -151,7 +151,7 @@ def _analysis(d: InitialData, c="normalized"):
     datum is differentiated once however many readers it meets.
     """
     u0x = d.u0x.values
-    cas = _casimir(d, u0x)
+    cas = d._casimir
     if c == "normalized":
         c = _unit_class(d, u0x, cas)
         if c == -1:
@@ -322,61 +322,48 @@ class LagrangianFields:
         return self.phi_tx / self.phi_x
 
 
-def _half_slopes(c: float, p0: np.ndarray, q0: np.ndarray):
-    """Rate s = sqrt(-c) of a class c < 0, the half-slopes hp, hq of the
-    two branches, with w = e^{-st} + h sinh st as in `factor`, and their
-    product hp hq less its mean.
-
-    That mean is the defect of the datum's Casimir from c, over -c: it
-    vanishes on data of class c, so its float residue is projected out
-    before the product enters terms that grow like e^{2st}. Slopes set
-    onto the threshold -2s by `_branch_slopes` have half-slope exactly 0.
-    """
-    s = math.sqrt(-c)
-    hp, hq = 1.0 + 0.5 * p0 / s, 1.0 + 0.5 * q0 / s
-    r = hp * hq
-    return s, hp, hq, r - r.mean()
-
-
 def _assembly(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t_star=math.inf):
     """The one assembly of every flow: the function of t that gives the
     flow state at t from the branch slopes p0, q0 of class c, with the
-    branch factors w_p, w_q, and refuses t at or past t_star.
+    branch factors w_p, w_q and their rates w_p', w_q' (`factor`), and
+    refuses t at or past t_star.
 
     phi_x = w_p w_q and phi_tx is its rate. For c >= 0, and so for every
-    kappa = +1 datum, they are products of `factor` values and rates.
-    For c < 0 the product is expanded over e^{-2st}, e^{-st} sinh st and
-    sinh^2 st, whose coefficients are 1, hp + hq and the projected
-    product of `_half_slopes`, formed here once for all times: the
-    product of the factor rates would cancel terms of size e^{2st} in
+    kappa = +1 datum, they are products of the factors and rates. For
+    c < 0 the product is expanded over e^{-2st}, e^{-st} sinh st and
+    sinh^2 st with s = sqrt(-c), whose coefficients are 1, hp + hq and
+    hp hq less its mean, with the half-slopes h = 1 + z0/2s of `factor`:
+    the product of the rates would cancel terms of size e^{2st} in
     phi_tx and let the winding of phi and the periodicity of phi_t drift
-    by rounding times e^{2st}. phi and phi_t are one stacked
-    antiderivative of (phi_x, phi_tx).
+    by rounding times e^{2st}. The mean of hp hq is the defect of the
+    datum's Casimir from c, over -c: it vanishes on data of class c, so
+    its float residue is projected out, once per datum, before it meets
+    e^{2st}. Slopes set onto the threshold -2s by `_branch_slopes` have
+    half-slope exactly 0. phi and phi_t are one stacked antiderivative
+    of (phi_x, phi_tx).
 
     Cost per state: O(n log n) time (two FFT calls) and O(n) memory;
-    the assembly keeps three n-arrays for c < 0, the two slopes else.
+    the assembly keeps the two slopes, and for c < 0 the projected
+    product.
     """
     if c < 0:
-        s, hp, hq, r0 = _half_slopes(c, p0, q0)
-
-        def factors(t):
-            em, sh, ch = math.exp(-s * t), math.sinh(s * t), math.cosh(s * t)
-            em2, ssum = em * em, hp + hq
-            phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
-            phi_tx = s * (-2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch))
-            return phi_x, phi_tx, em + hp * sh, em + hq * sh
-    else:
-        def factors(t):
-            wp, wtp = factor(p0, c, t)
-            wq, wtq = factor(q0, c, t)
-            return (wp * wq).real, (wtp * wq + wp * wtq).real, wp, wq
+        s = math.sqrt(-c)
+        r0 = (1.0 + 0.5 * p0 / s) * (1.0 + 0.5 * q0 / s)
+        r0 -= r0.mean()
 
     def at(t: float):
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         if t >= t_star:
             raise BlowupReached(f"t = {t} is not below the breakdown time {t_star:.6g}")
-        phi_x, phi_tx, wp, wq = factors(t)
+        (wp, vp), (wq, vq) = factor(p0, c, t), factor(q0, c, t)
+        if c < 0:
+            em, sh, ch = math.exp(-s * t), math.sinh(s * t), math.cosh(s * t)
+            em2, ssum = em * em, (1.0 + 0.5 * p0 / s) + (1.0 + 0.5 * q0 / s)
+            phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
+            phi_tx = s * (-2.0 * em2 + ssum * em2 + r0 * (2.0 * sh * ch))
+        else:
+            phi_x, phi_tx = (wp * wq).real, (vp * wq + wp * vq).real
         phi, phi_t = _antiderivative(np.stack((phi_x, phi_tx)))
         grid = d.grid
         phi_x = grid.function(phi_x)
@@ -384,7 +371,7 @@ def _assembly(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t_star=m
             t, d.kappa, grid.function(phi), grid.function(phi_t), phi_x,
             grid.function(phi_tx), d.rho0 / phi_x,
         )
-        return state, wp, wq
+        return state, (wp, vp), (wq, vq)
 
     return at
 

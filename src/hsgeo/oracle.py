@@ -14,7 +14,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .data import InitialData, casimir
-from .engine import blowup_time, eulerian_solution
+from .engine import _classical, eulerian_fields
 from .errors import StepUnstable
 from .grid import GridFunction, derivative, integrate
 
@@ -152,17 +152,18 @@ def _march(d: InitialData, t0: float, t1: float, u, rho, cfg: OracleConfig):
     return u, rho
 
 
-def _breakdown_clock(d: InitialData, t_last: float, cfg: OracleConfig) -> float:
-    """Breakdown time of d. Refuses a step above 0.5/n on the datum's
-    n-point grid, and targets within 0.05 of breakdown: close to
-    breaking the spectral representation degrades and the integrator no
-    longer serves as a trustworthy reference."""
+def _breakdown_clock(d: InitialData, t_last: float, cfg: OracleConfig):
+    """Breakdown time of d and the assembly of its closed-form flow, from
+    its one normalized analysis (`engine._classical`). Refuses a step
+    above 0.5/n on the datum's n-point grid, and targets within 0.05 of
+    breakdown: close to breaking the spectral representation degrades
+    and the integrator no longer serves as a trustworthy reference."""
     if cfg.dt > 0.5 / d.grid.n:
         raise ValueError("dt must not exceed 0.5/n")
-    tstar = blowup_time(d)
+    _, tstar, assemble = _classical(d)
     if t_last > tstar - SAFETY_MARGIN:
         raise ValueError(f"t = {t_last} is past the safety margin before breakdown at {tstar:.6g}")
-    return tstar
+    return tstar, assemble
 
 
 def evolve(
@@ -181,21 +182,23 @@ def _casimir_of(u: GridFunction, rho: GridFunction, kappa: int) -> float:
 
 def compare(d: InitialData, times, cfg: OracleConfig = OracleConfig()) -> dict:
     """March once through the sorted times, comparing against the
-    closed-form Eulerian solution at each stop.
+    closed-form Eulerian solution at each stop, assembled from the
+    datum's one analysis.
 
     Returns a JSON-ready report with per-time L2 and sup errors for
     both fields and the drift of the energy constant.
     """
     times = sorted(float(t) for t in times)
-    tstar = _breakdown_clock(d, max(times, default=-math.inf), cfg)
+    tstar, assemble = _breakdown_clock(d, max(times, default=-math.inf), cfg)
     c0 = casimir(d)
     gr = d.grid
     u, rho = d.u0.values, d.rho0.values
     rows = []
     for t_prev, t in zip([0.0] + times, times):
-        u, rho = _march(d, t_prev, t, u, rho, cfg)
-        uo, ro = gr.function(u), gr.function(rho)
-        ue, re = eulerian_solution(d, t)
+        # the march goes on from the report's copies, so the fields are held once
+        uo, ro = map(gr.function, _march(d, t_prev, t, u, rho, cfg))
+        u, rho = uo.values, ro.values
+        ue, re = eulerian_fields(assemble(t)[0])
         eu, er = uo - ue, ro - re
         rows.append({"t": t, "l2_u": eu.l2_norm(), "l2_rho": er.l2_norm(),
                      "sup_u": eu.sup_norm(), "sup_rho": er.sup_norm(),

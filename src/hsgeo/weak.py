@@ -23,7 +23,6 @@ from .engine import (
     _analysis,
     _breaking,
     _classical,
-    _half_slopes,
     eulerian_fields,
 )
 from .errors import NotAdmissible
@@ -111,9 +110,10 @@ class Flow:
     or past its breakdown time t_star (+inf for the weak flow).
 
     The class, the clock, the branch slopes and, for c < 0, the
-    half-slopes are fixed when the flow is built, from the datum's one
-    normalized analysis (`engine._classical`), so a run of T output
-    times costs one O(n) analysis plus T assemblies (`engine._assembly`).
+    projected half-slope product are fixed when the flow is built, from
+    the datum's one normalized analysis (`engine._classical`), so a run
+    of T output times costs one O(n) analysis plus T assemblies
+    (`engine._assembly`).
     """
 
     datum: InitialData
@@ -126,14 +126,19 @@ class Flow:
         components are f1 +- f2 = w_p, w_q, the two branch factors, and
         whose alpha_t = rho0 / phi_x exactly (the Wronskian of the two
         factor branches is constant in time and equals rho0)."""
-        s, wp, wq = self.assemble(t)
-        if not self.admissible:
-            return s
-        gr = self.datum.grid
-        return WeakState(
-            **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
-            alpha=gr.function(np.log(wp) - np.log(wq)),
-        )
+        return self._state(t)[0]
+
+    def _state(self, t: float):
+        """Flow state at time t (`state`) and the branch-factor rates
+        w_p', w_q'."""
+        s, (wp, vp), (wq, vq) = self.assemble(t)
+        if self.admissible:
+            gr = self.datum.grid
+            s = WeakState(
+                **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
+                alpha=gr.function(np.log(wp) - np.log(wq)),
+            )
+        return s, vp, vq
 
 
 def flow(d: InitialData, weak: bool = False) -> Flow:
@@ -193,13 +198,9 @@ def geodesic_residual(d: InitialData, t: float) -> float:
     with the Christoffel quadratic form evaluated at the current flow
     state. Zero up to quadrature error for admissible data.
     """
-    s = weak_state(d, t)
-    # the second time derivative of the c < 0 phi_x of engine._assembly, term by term
-    c, (p0, q0) = _analysis(d)
-    rate, hp, hq, r0 = _half_slopes(c, p0, q0)
-    st = rate * t
-    em2 = math.exp(-st) ** 2
-    phi_ttx = (4.0 * em2 - 2.0 * (hp + hq) * em2 + r0 * (2.0 * math.cosh(2.0 * st))) * (rate * rate)
+    s, vp, vq = flow(d, weak=True)._state(t)
+    # phi_x = w_p w_q with w'' = -c w at the datum's own Casimir c, the class of its weak flow
+    phi_ttx = 2.0 * (vp * vq - casimir(d) * s.phi_x.values)
     phi_tt = antiderivative_from_zero(d.grid.function(phi_ttx))
     alpha_tt = -d.rho0 * s.phi_tx / (s.phi_x * s.phi_x)
 
@@ -230,9 +231,10 @@ def weak_residual(d: InitialData, t: float, dt: float = 1e-4) -> float:
     if t - dt < 0.0:
         raise ValueError("t - dt must be nonnegative")
     gr = d.grid
-    up, _ = weak_solution(d, t + dt)
-    um, _ = weak_solution(d, t - dt)
-    u, rho = weak_solution(d, t)
+    run = flow(d, weak=True)
+    up, _ = eulerian_fields(run.state(t + dt))
+    um, _ = eulerian_fields(run.state(t - dt))
+    u, rho = eulerian_fields(run.state(t))
     u_t = (up - um) * (0.5 / dt)
     ux = derivative(u)
     g = ux * ux - rho * rho

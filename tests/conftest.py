@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from hsgeo import data, engine, sphere, weak
 from hsgeo.grid import Grid, GridFunction
 
 # a fixed seed and no example database: every run draws the same examples
@@ -72,3 +73,47 @@ def rand_u2(g, rng, modes=8, const=True):
         a, b = rng.standard_normal(2) / k
         vals += a * np.sin(2 * np.pi * k * g.x) + b * np.cos(2 * np.pi * k * g.x)
     return GridFunction(g, vals)
+
+
+def count_work(monkeypatch):
+    """Counters of the numpy FFT calls, the stencil passes of the
+    nonuniform evaluator, the datum analyses and the Casimir evaluations
+    of a run."""
+    work = {"fft": 0, "passes": 0, "analyses": 0, "casimirs": 0}
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def counted_fft(*a, _fn=fn, **k):
+            work["fft"] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(np.fft, name, counted_fft)
+    interpolant = engine._interpolant
+
+    def counted_interpolant(*columns):
+        at = interpolant(*columns)
+
+        def counted_at(pts):
+            work["passes"] += 1
+            return at(pts)
+
+        return counted_at
+
+    monkeypatch.setattr(engine, "_interpolant", counted_interpolant)
+    analysis = engine._analysis
+
+    def counted_analysis(*a):
+        work["analyses"] += 1
+        return analysis(*a)
+
+    for mod in (engine, sphere, weak):
+        monkeypatch.setattr(mod, "_analysis", counted_analysis)
+    kept = data.InitialData._casimir  # the cached property: its func runs once per datum
+    casimir = kept.func
+
+    def counted_casimir(d):
+        work["casimirs"] += 1
+        return casimir(d)
+
+    monkeypatch.setattr(kept, "func", counted_casimir)
+    return work

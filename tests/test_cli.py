@@ -28,6 +28,7 @@ from hsgeo.geometry import (
     omega_form,
 )
 from hsgeo.grid import Grid, derivative, mean_zero_project, write_table
+from conftest import count_work
 
 
 def _run_json(capsys, argv):
@@ -209,7 +210,7 @@ def test_geodesic_analyses_its_datum_once_per_run(monkeypatch, capsys):
 
     for mod in (data, engine, sphere, weak):
         monkeypatch.setattr(mod, "derivative", counted)
-    work = _count_work(monkeypatch)
+    work = count_work(monkeypatch)
     code, rep = _run_json(capsys, ["geodesic", "--preset", "fig1c", "--times", "0,1,2,3"])
     assert code == 0 and len(rep["min_gap"]) == 4
     assert work["analyses"] == 1
@@ -229,41 +230,6 @@ def test_simulate_differentiates_its_datum_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def _count_work(monkeypatch):
-    """Counters of the numpy FFT calls, the stencil passes of the
-    nonuniform evaluator and the datum analyses of a run."""
-    work = {"fft": 0, "passes": 0, "analyses": 0}
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        fn = getattr(np.fft, name)
-
-        def counted_fft(*a, _fn=fn, **k):
-            work["fft"] += 1
-            return _fn(*a, **k)
-
-        monkeypatch.setattr(np.fft, name, counted_fft)
-    interpolant = engine._interpolant
-
-    def counted_interpolant(*columns):
-        at = interpolant(*columns)
-
-        def counted_at(pts):
-            work["passes"] += 1
-            return at(pts)
-
-        return counted_at
-
-    monkeypatch.setattr(engine, "_interpolant", counted_interpolant)
-    analysis = engine._analysis
-
-    def counted_analysis(*a):
-        work["analyses"] += 1
-        return analysis(*a)
-
-    for mod in (engine, sphere, weak):
-        monkeypatch.setattr(mod, "_analysis", counted_analysis)
-    return work
-
-
 @pytest.mark.parametrize("source", ["fig1c", "degenerate"])
 def test_simulate_frames_stream_from_one_analysis(monkeypatch, capsys, tmp_path, source):
     # per frame: two FFT calls for phi and phi_t, two to oversample
@@ -277,13 +243,14 @@ def test_simulate_frames_stream_from_one_analysis(monkeypatch, capsys, tmp_path,
         argv = ["simulate", "--scenario", str(_degenerate_scenario(tmp_path, 512))]
     counts = {}
     for frames in (1, 6):
-        work = _count_work(monkeypatch)
+        work = count_work(monkeypatch)
         times = ",".join(str(t) for t in [0.5, 1.2, 2.6, 5.0, 10.0, 20.0][:frames])
         code, rep = _run_json(capsys, argv + ["--times", times, "--out", str(tmp_path / "run")])
         assert code == 0 and len(rep["files"]) == frames
         counts[frames] = dict(work)
         monkeypatch.undo()
     assert counts[1]["analyses"] == counts[6]["analyses"] == 1
+    assert counts[1]["casimirs"] == counts[6]["casimirs"] == 1  # 2 when classify took its own
     assert counts[6]["fft"] - counts[1]["fft"] <= 6 * 5
     assert counts[6]["passes"] - counts[1]["passes"] <= 3 * 5
     assert counts[1]["fft"] <= 4 + 6 and counts[1]["passes"] <= 3  # the datum's own: 4
@@ -294,7 +261,7 @@ def test_simulate_of_breaking_data_analyses_it_once_per_run(monkeypatch, capsys)
     # data is not analysed a second time for an admission check
     counts = []
     for times in ("0.1", "0.1,0.2,0.3,0.4"):
-        work = _count_work(monkeypatch)
+        work = count_work(monkeypatch)
         code, _ = _run_json(capsys, ["simulate", "--preset", "fig1a", "--times", times])
         assert code == 0
         counts.append(work["analyses"])
@@ -305,7 +272,7 @@ def test_simulate_of_breaking_data_analyses_it_once_per_run(monkeypatch, capsys)
 def test_blowup_analyses_its_datum_once_per_clock(monkeypatch, capsys):
     # closed form, literal and multisection; global is the closed clock
     # read at +inf, not a fourth analysis
-    work = _count_work(monkeypatch)
+    work = count_work(monkeypatch)
     code, rep = _run_json(capsys, ["blowup", "--preset", "fig1a"])
     assert code == 0 and rep["global"] is False
     assert work["analyses"] == 3

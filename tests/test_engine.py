@@ -28,7 +28,7 @@ from hsgeo.errors import BlowupReached, NotInvertible, Singular
 from hsgeo.grid import Grid, GridFunction, _interpolant, antiderivative_from_zero, derivative
 from hsgeo.sphere import boundary_hit_time
 from hsgeo.weak import admissibility, flow_state
-from conftest import GRID, mean_zero_trig
+from conftest import GRID, count_work, mean_zero_trig
 
 finite_z = st.floats(-6.0, 6.0, allow_nan=False)
 small_t = st.floats(0.0, 0.4, allow_nan=False)
@@ -243,9 +243,21 @@ def test_multisection_takes_the_first_of_two_breaking_ends(c):
     assert abs(got - roots[1]) < 4 * math.ulp(roots[1])
 
 
+def _sweep_member():
+    """The seven readers of a breakdown sweep member, on the raw datum
+    and its normalized copy; True if the copy is a new datum."""
+    grid = Grid(256)
+    base = grid.function(np.cos(2 * np.pi * grid.x))
+    raw = InitialData.from_gradient(base, base * 2.0)
+    d, _ = normalize(raw)
+    for call in (blowup_time, singular_time_literal, blowup_time_bisect, is_global, admissibility):
+        call(d)
+    boundary_hit_time(raw)
+    return d is not raw
+
+
 def test_a_sweep_member_differentiates_each_datum_once(monkeypatch):
-    # the seven readers of a breakdown sweep member, on the raw datum and
-    # its normalized copy, share the gradient each datum keeps
+    # the readers share the gradient each datum keeps
     calls = []
 
     def counted(f):
@@ -254,15 +266,16 @@ def test_a_sweep_member_differentiates_each_datum_once(monkeypatch):
 
     for mod in (data, engine, sphere, weak):
         monkeypatch.setattr(mod, "derivative", counted)
-    grid = Grid(256)
-    base = grid.function(np.cos(2 * np.pi * grid.x))
-    raw = InitialData.from_gradient(base, base * 2.0)
-    d, _ = normalize(raw)
-    for call in (blowup_time, singular_time_literal, blowup_time_bisect, is_global, admissibility):
-        call(d)
-    boundary_hit_time(raw)
-    assert d is not raw
+    assert _sweep_member()
     assert len(calls) == 2
+
+
+def test_a_sweep_member_evaluates_each_casimir_once(monkeypatch):
+    # the readers share the Casimir each datum keeps (8 evaluations when
+    # every reader took its own)
+    work = count_work(monkeypatch)
+    assert _sweep_member()
+    assert work["casimirs"] == 2
 
 
 def test_breakdown_member_memory_stays_small():

@@ -1,5 +1,6 @@
 """Method-of-lines reference integrator and cross-engine comparisons."""
 
+import json
 import math
 
 import numpy as np
@@ -10,8 +11,9 @@ from hsgeo.engine import blowup_time, eulerian_solution
 from hsgeo.errors import StepUnstable
 from hsgeo.grid import Grid, a_inverse, derivative, integrate
 from hsgeo import oracle
+from hsgeo.cli import main
 from hsgeo.oracle import OracleConfig, _march, compare, evolve, rhs
-from conftest import GRID
+from conftest import GRID, count_work
 from test_engine import _positive_kappa_data
 
 CFG = OracleConfig(dt=1e-3)
@@ -251,6 +253,15 @@ def test_compare_report_shape():
     worst = max(max(r["l2_u"], r["l2_rho"]) for r in rep["rows"])
     assert rep["max_l2"] == worst
     assert worst < 1e-5
+
+
+def test_compare_analyses_its_datum_once(monkeypatch, capsys):
+    # the clock and every closed-form frame are read off one flow (4
+    # analyses for 3 times when each frame and the clock took their own)
+    work = count_work(monkeypatch)
+    assert main(["compare", "--preset", "fig1c", "--n", "64", "--times", "0.1,0.2,0.3", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 3
+    assert work["analyses"] == 1
 
 
 def test_stepper_refuses_to_graze_the_breakdown():

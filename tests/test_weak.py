@@ -20,7 +20,9 @@ from hsgeo.weak import (
     weak_solution,
     weak_state,
 )
-from hsgeo.grid import derivative, integrate
+from hsgeo.grid import Grid, derivative, integrate
+from hsgeo.sphere import geodesic
+from conftest import count_work
 
 FIG1A = preset("fig1a")
 FIG1B = preset("fig1b")
@@ -97,6 +99,28 @@ def test_weak_and_classical_states_are_one_assembly():
             w, c = weak_state(d, t), lagrangian_fields(d, t)
             for name in ("phi", "phi_t", "phi_x", "phi_tx"):
                 assert np.array_equal(getattr(w, name).values, getattr(c, name).values)
+
+
+def _chart_data():
+    """fig1c, the stationary datum and the cosine data u0x = a cos 2 pi x,
+    rho0 = u0x + 2 (fig1c at a = 1), at three sizes."""
+    for n in (64, 256, 1024):
+        grid = Grid(n)
+        yield preset("stationary", n)
+        for a in (0.5, 1.0, 1.5, 2.0):
+            yield InitialData.from_gradient(*(grid.sample(f) for f in (
+                lambda x: a * np.cos(2 * np.pi * x), lambda x: a * np.cos(2 * np.pi * x) + 2.0)))
+
+
+def test_weak_chart_is_the_pseudosphere_geodesic():
+    # both take the branch factors w_p, w_q = f1 +- f2 from engine.factor;
+    # the weak flow evaluated its own c < 0 factors and missed the
+    # geodesic in the last bits on 18 of these 90 frames
+    for d in _chart_data():
+        for t in (0.0, 0.3, 1.0, 5.0, 12.0, 20.0):
+            w, g = weak_state(d, t), geodesic(d, t)
+            assert np.array_equal(w.f1.values, g.f1.values), (d.grid.n, t)
+            assert np.array_equal(w.f2.values, g.f2.values), (d.grid.n, t)
 
 
 def test_casimir_defect_within_tolerance_is_projected_out():
@@ -275,6 +299,16 @@ def test_weak_residual_past_the_classical_clock():
     for t in (0.5, 2.0, 5.0):
         assert weak_residual(FIG1C, t) < 1e-5
     assert weak_residual(STAT, 1.0) < 1e-10
+
+
+def test_residuals_analyse_their_datum_once(monkeypatch):
+    # each took whole flows: weak_residual one per weak_solution (3), and
+    # geodesic_residual one for its state and its own for phi_ttx (2)
+    for residual in (weak_residual, geodesic_residual):
+        work = count_work(monkeypatch)
+        residual(FIG1C, 1.0)
+        assert work["analyses"] == 1, residual.__name__
+        monkeypatch.undo()
 
 
 def test_flow_is_periodic_in_space_not_time():
