@@ -20,7 +20,9 @@ from .data import (
     scenario_from_file,
 )
 from .engine import (
+    Flow,
     LagrangianFields,
+    WeakState,
     blowup_time,
     blowup_time_bisect,
     compose_with_inverse,
@@ -105,8 +107,6 @@ from .sphere import (
 )
 from .weak import (
     AdmissibilityReport,
-    Flow,
-    WeakState,
     admissibility,
     energy,
     flow,

@@ -27,18 +27,13 @@ from .data import (
     preset,
     scenario_from_file,
 )
-from .engine import (
-    blowup_time,
-    blowup_time_bisect,
-    eulerian_fields,
-    singular_time_literal,
-)
+from .engine import _flow, _literal, _scan_bisect, eulerian_fields
 from .errors import BlowupReached, HsError
 from .findim import _draw_horizontal, _draw_point, holomorphic_sec, plane_scan
 from .geometry import identity_defects
 from .grid import EPS, Grid, table_template, write_rows, write_text
 from .oracle import OracleConfig, _check_work, compare
-from .sphere import _geodesic_flow
+from .sphere import _geodesic_flow, _point
 from .weak import energy, flow
 
 SCHEMA = 1
@@ -175,13 +170,14 @@ def _cmd_geodesic(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    c, hit, at = _geodesic_flow(d)  # the datum's one analysis
+    run = _geodesic_flow(d)  # the datum's one analysis
     files = []
     mins = []
     table = table_template("x,f1,f2", d.grid.x, 2) if out else None
     for idx, t in enumerate(times):
-        f, gap, _ = at(t)
-        mins.append(gap.min())
+        (wp, _), (wq, _) = run.factors(t)
+        f = _point(d.grid, wp, wq)
+        mins.append(d.grid.function(wp * wq).min())
         if out:
             name = f"sphere_{idx:04d}.csv"
             write_rows(out / name, table, [f.f1.values, f.f2.values])
@@ -191,13 +187,13 @@ def _cmd_geodesic(args) -> int:
         "command": "geodesic",
         "name": meta.get("name", "custom"),
         "n": d.grid.n,
-        "casimir": c,
+        "casimir": run.c,
         "times": times,
         "min_gap": mins,
-        "boundary_hit": _finite(hit),
+        "boundary_hit": _finite(run.t_star),
         "files": files,
     }
-    lines = [f"{report['name']}: boundary hit at {hit:g}"]
+    lines = [f"{report['name']}: boundary hit at {run.t_star:g}"]
     lines += [f"  t = {t:g}: min(f1^2 - f2^2) = {m:.6g}" for t, m in zip(times, mins)]
     _emit(report, args, lines)
     return 0
@@ -205,12 +201,13 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_blowup(args) -> int:
     d, meta = _load_data(args)
-    closed = blowup_time(d)
-    glob = math.isinf(closed)  # is_global(d), without analysing d again
+    run = _flow(d)  # the datum's one analysis: every clock reads its slopes
+    closed = run.t_star
+    glob = math.isinf(closed)  # is_global(d)
     literal = bisect = None
     if d.kappa == -1:
-        literal = singular_time_literal(d)
-        bisect = blowup_time_bisect(d)
+        literal = _literal(run.c, run.slopes)  # singular_time_literal(d)
+        bisect = _scan_bisect(run.c, run.slopes, 20.0, 1e-3)  # blowup_time_bisect(d)
     cls = classify(d)
     report = {
         "schema": SCHEMA,

@@ -15,24 +15,26 @@ the class, from the velocity gradient the datum keeps (`_analysis`),
 so a datum is differentiated once however many readers it meets. The
 clocks set, scan and root-solve the slopes in place (`_branch_slopes`,
 `_end`, `_roots`), so they hold little more than the two slope arrays.
-Every flow state, classical or weak, is a `LagrangianFields` built by
-one assembly from the branch slopes (`_assembly`), which forms what
-does not depend on t once per datum and then gives a state per time, and
-one reconstruction (`eulerian_fields`) turns any such state into
+A datum analysed at a class is one `Flow` (`_flow`): its class, slopes
+and breakdown clock, from which it gives the branch factors and the flow
+state at any time. The classical flow, the global weak flow, the
+pseudosphere geodesic and the oracle's reference are each such a Flow,
+and one reconstruction (`eulerian_fields`) turns any flow state into
 Eulerian fields.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .data import CLASS_TOL, InitialData, _unit_class
+from .data import InitialData, _unit_class
 from .errors import BlowupReached, NotInvertible, Singular
-from .grid import EPS, Grid, GridFunction, _antiderivative, _interpolant, derivative
+from .grid import EPS, Grid, GridFunction, _antiderivative, _interpolant, derivative, integrate
 
 SINGULAR_TOL = 1e-12
 INVERT_TOL = 1e-8
@@ -136,28 +138,23 @@ def _analysis(d: InitialData, c="normalized"):
     c chooses the class whose breakdown threshold the slopes are set
     onto (`_branch_slopes`), and that class is returned: "normalized"
     takes the normalized class (ValueError for data that is not
-    normalized); "casimir" takes the Casimir itself, as the pseudosphere
-    geodesics of unscaled data need; a number is taken as given. The
-    class -1, though, is always read at the datum's own Casimir: for
-    normalized data of that class, and when -1 is asked for and the
-    Casimir is within CLASS_TOL of it. A Casimir that misses -1 leaves
-    half-slopes of the size of the miss where they should vanish, and a
-    slope on the threshold of one class can lie below that of the other,
-    so a clock or an admission check read at -1 could pass a flow that
-    folds or breaks at its own class (fig1c scaled by 1 - 1e-11 past
-    t = 12). The clocks, every flow and `weak.admissibility` therefore
-    read one set of slopes. Every breakdown reader takes its slopes
-    here, from the gradient the datum keeps (`InitialData.u0x`), so a
-    datum is differentiated once however many readers it meets.
+    normalized), except that the class -1 is read at the datum's own
+    Casimir; a number, such as the Casimir a pseudosphere geodesic of
+    unscaled data runs at, is taken as given. A Casimir that misses -1
+    leaves half-slopes of the size of the miss where they should vanish,
+    and a slope on the threshold of one class can lie below that of the
+    other, so a clock read at -1 could pass a flow that folds or breaks
+    at its own class (fig1c scaled by 1 - 1e-11 past t = 12): the clocks
+    and every flow read one set of slopes. Every breakdown reader takes
+    its slopes here, from the gradient the datum keeps
+    (`InitialData.u0x`), so a datum is differentiated once however many
+    readers it meets.
     """
     u0x = d.u0x.values
-    cas = d._casimir
     if c == "normalized":
-        c = _unit_class(d, u0x, cas)
+        c = _unit_class(d, u0x, d._casimir)
         if c == -1:
-            c = cas
-    elif c == "casimir" or (c == -1 and abs(cas + 1.0) <= CLASS_TOL):
-        c = cas
+            c = d._casimir
     return c, _branch_slopes(d, c, u0x)
 
 
@@ -198,17 +195,10 @@ def blowup_time(d: InitialData) -> float:
     """First time the flow map loses injectivity (min phi_x hits zero).
 
     Computed as the earliest factor root over both characteristic
-    branches and all nodes; +inf when no factor ever vanishes.
+    branches and all nodes (`Flow.t_star`); +inf when no factor ever
+    vanishes.
     """
-    return _first_root(*_analysis(d))
-
-
-def _first_root(c: float, slopes) -> float:
-    """Earliest factor root over both branches of slopes: the root of
-    their least breaking slope, read in place, as a root falls with its
-    slope."""
-    low = min(_end(z, _breaking(z, c), False) for z in slopes)
-    return float(_roots(np.array([low]), c)[0]) if low < math.inf else math.inf
+    return _flow(d).t_star
 
 
 def singular_time_literal(d: InitialData) -> float:
@@ -220,7 +210,11 @@ def singular_time_literal(d: InitialData) -> float:
     than the first and can disagree with blowup_time; both are reported
     by the CLI.
     """
-    c, slopes = _analysis(d)
+    return _literal(*_analysis(d))
+
+
+def _literal(c: float, slopes) -> float:
+    """`singular_time_literal` of the branch slopes of class c."""
     picks = []
     for z in slopes:
         hit = _breaking(z, c)
@@ -300,8 +294,8 @@ class LagrangianFields:
     its velocity, phi_x and phi_tx their label derivatives, and
     rho = rho0 / phi_x the density carried along the flow. The
     classical flow of either coupling (lagrangian_fields) and the
-    global weak flow (weak.WeakState) share this state and its
-    assembly (`_assembly`).
+    global weak flow (WeakState) share this state and its assembly
+    (`Flow.state`).
     """
 
     # eulerian_fields refuses a classical state this close to folding;
@@ -322,42 +316,110 @@ class LagrangianFields:
         return self.phi_tx / self.phi_x
 
 
-def _assembly(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t_star=math.inf):
-    """The one assembly of every flow: the function of t that gives the
-    flow state at t from the branch slopes p0, q0 of class c, with the
-    branch factors w_p, w_q and their rates w_p', w_q' (`factor`), and
-    refuses t at or past t_star.
+@dataclass(frozen=True)
+class WeakState(LagrangianFields):
+    """Flow state of the global weak flow, with the chart coordinates.
 
-    phi_x = w_p w_q and phi_tx is its rate. For c >= 0, and so for every
-    kappa = +1 datum, they are products of the factors and rates. For
-    c < 0 the product is expanded over e^{-2st}, e^{-st} sinh st and
-    sinh^2 st with s = sqrt(-c), whose coefficients are 1, hp + hq and
-    hp hq less its mean, with the half-slopes h = 1 + z0/2s of `factor`:
-    the product of the rates would cancel terms of size e^{2st} in
-    phi_tx and let the winding of phi and the periodicity of phi_t drift
-    by rounding times e^{2st}. The mean of hp hq is the defect of the
-    datum's Casimir from c, over -c: it vanishes on data of class c, so
-    its float residue is projected out, once per datum, before it meets
-    e^{2st}. Slopes set onto the threshold -2s by `_branch_slopes` have
-    half-slope exactly 0. phi and phi_t are one stacked antiderivative
-    of (phi_x, phi_tx).
-
-    Cost per state: O(n log n) time (two FFT calls) and O(n) memory;
-    the assembly keeps the two slopes, and for c < 0 the projected
-    product.
+    f1 and f2 are the two components of the geodesic on the
+    pseudosphere, phi_x = f1^2 - f2^2, and alpha is the twist, whose
+    rate alpha_t is the density rho along the flow.
     """
-    if c < 0:
-        s = math.sqrt(-c)
+
+    refuse_degenerate: ClassVar[bool] = False
+
+    f1: GridFunction
+    f2: GridFunction
+    alpha: GridFunction
+
+    @property
+    def alpha_t(self) -> GridFunction:
+        return self.rho
+
+    @property
+    def floor(self) -> float:
+        """Lower bound e^{-2t} of phi_x along the weak flow."""
+        return math.exp(-2.0 * self.t)
+
+    def __post_init__(self):
+        if abs(self.phi.values[0]) > 1e-9:
+            raise ValueError("phi(0) must vanish")
+        if abs(integrate(self.phi_x) - 1.0) > 1e-9:
+            raise ValueError("phi must have unit winding")
+        if np.diff(self.phi.values).min() < -1e-12:
+            raise ValueError("phi must be nondecreasing")
+        if self.phi_x.values.min() < self.floor - 1e-9:
+            raise ValueError("phi_x fell below the admissible lower bound")
+
+
+@dataclass(frozen=True, eq=False)
+class Flow:
+    """The flow of one datum, analysed once at the class c (`_flow`):
+    its branch slopes p0, q0 set at c and its clock t_star, the earliest
+    factor root (+inf where none). It is the classical flow, refused at
+    or past t_star; with admissible set, the global weak flow
+    (`weak.flow`); at the Casimir of a kappa = -1 datum, its geodesic on
+    the pseudosphere (`sphere._geodesic_flow`), whose chart components
+    f1 +- f2 are the branch factors. A run of T output times costs one
+    O(n) analysis plus T states; the flow keeps the two slopes and, from
+    its first state at c < 0, the projected half-slope product.
+    """
+
+    datum: InitialData
+    c: float
+    slopes: tuple = field(repr=False)
+    t_star: float
+    admissible: bool = False
+
+    def factors(self, t: float):
+        """(w_p, w_p'), (w_q, w_q'): the branch factors and rates at t."""
+        p0, q0 = self.slopes
+        return factor(p0, self.c, t), factor(q0, self.c, t)
+
+    @functools.cached_property
+    def _product(self) -> np.ndarray:
+        """Product hp hq of the half-slopes h = 1 + z0/2s (c < 0), less its mean."""
+        p0, q0 = self.slopes
+        s = math.sqrt(-self.c)
         r0 = (1.0 + 0.5 * p0 / s) * (1.0 + 0.5 * q0 / s)
         r0 -= r0.mean()
+        return r0
 
-    def at(t: float):
+    def state(self, t: float) -> LagrangianFields:
+        """Flow state at time t: a WeakState on the weak flow, whose chart
+        components are f1 +- f2 = w_p, w_q, and whose alpha_t =
+        rho0 / phi_x exactly (the Wronskian of the two factor branches
+        is constant in time and equals rho0)."""
+        return self._state(t)[0]
+
+    def _state(self, t: float):
+        """Flow state at time t (`state`) and the branch-factor rates
+        w_p', w_q'.
+
+        phi_x = w_p w_q and phi_tx is its rate. For c >= 0, and so for
+        every kappa = +1 datum, they are products of the factors and
+        rates. For c < 0 the product is expanded over e^{-2st},
+        e^{-st} sinh st and sinh^2 st with s = sqrt(-c), whose
+        coefficients are 1, hp + hq and hp hq less its mean
+        (`_product`): the product of the rates would cancel terms of
+        size e^{2st} in phi_tx and let the winding of phi and the
+        periodicity of phi_t drift by rounding times e^{2st}. The mean of
+        hp hq is the defect of the datum's Casimir from c, over -c: it
+        vanishes on data of class c, so its float residue is projected
+        out, once per flow, before it meets e^{2st}. Slopes set onto the
+        threshold -2s by `_branch_slopes` have half-slope exactly 0. phi
+        and phi_t are one stacked antiderivative of (phi_x, phi_tx).
+
+        Cost per state: O(n log n) time (two FFT calls) and O(n) memory.
+        """
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        if t >= t_star:
-            raise BlowupReached(f"t = {t} is not below the breakdown time {t_star:.6g}")
-        (wp, vp), (wq, vq) = factor(p0, c, t), factor(q0, c, t)
+        if t >= self.t_star:
+            raise BlowupReached(f"t = {t} is not below the breakdown time {self.t_star:.6g}")
+        c, (p0, q0) = self.c, self.slopes
+        (wp, vp), (wq, vq) = self.factors(t)
         if c < 0:
+            s = math.sqrt(-c)
+            r0 = self._product
             em, sh, ch = math.exp(-s * t), math.sinh(s * t), math.cosh(s * t)
             em2, ssum = em * em, (1.0 + 0.5 * p0 / s) + (1.0 + 0.5 * q0 / s)
             phi_x = em2 + ssum * (em * sh) + r0 * (sh * sh)
@@ -365,35 +427,35 @@ def _assembly(d: InitialData, c: float, p0: np.ndarray, q0: np.ndarray, t_star=m
         else:
             phi_x, phi_tx = (wp * wq).real, (vp * wq + wp * vq).real
         phi, phi_t = _antiderivative(np.stack((phi_x, phi_tx)))
-        grid = d.grid
+        d, grid = self.datum, self.datum.grid
         phi_x = grid.function(phi_x)
-        state = LagrangianFields(
-            t, d.kappa, grid.function(phi), grid.function(phi_t), phi_x,
-            grid.function(phi_tx), d.rho0 / phi_x,
-        )
-        return state, (wp, vp), (wq, vq)
+        fields = (t, d.kappa, grid.function(phi), grid.function(phi_t), phi_x,
+                  grid.function(phi_tx), d.rho0 / phi_x)
+        if not self.admissible:
+            return LagrangianFields(*fields), vp, vq
+        chart = (grid.function(0.5 * (wp + wq)), grid.function(0.5 * (wp - wq)),
+                 grid.function(np.log(wp) - np.log(wq)))
+        return WeakState(*fields, *chart), vp, vq
 
-    return at
 
-
-def _classical(d: InitialData):
-    """The datum's one normalized analysis: its class c, its breakdown
-    clock t_star and the assembly of its flow (`_assembly`), refused at
-    or past t_star. Every flow of a normalized datum, classical or weak,
-    and every answer to which flow it takes, is built from it."""
-    c, slopes = _analysis(d)
-    t_star = _first_root(c, slopes)
-    return c, t_star, _assembly(d, c, *slopes, t_star)
+def _flow(d: InitialData, c="normalized") -> Flow:
+    """The flow of d analysed at the class c (`_analysis`), with its clock:
+    the root of the least breaking slope over both branches, read in
+    place, as a root falls with its slope."""
+    c, slopes = _analysis(d, c)
+    low = min(_end(z, _breaking(z, c), False) for z in slopes)
+    t_star = float(_roots(np.array([low]), c)[0]) if low < math.inf else math.inf
+    return Flow(d, c, slopes, t_star)
 
 
 def lagrangian_fields(d: InitialData, t: float) -> LagrangianFields:
     """Classical flow state at time t (normalized data), refused at or
-    past breakdown; one time of `_classical`.
+    past breakdown; one time of `_flow`.
 
     Data of the class -1 flows, and is refused, at its own Casimir
     (`_analysis`), as the weak flow does.
     """
-    return _classical(d)[2](t)[0]
+    return _flow(d).state(t)
 
 
 def _bracket(phi: np.ndarray, phi_x: np.ndarray, x: np.ndarray, h: float):

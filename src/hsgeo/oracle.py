@@ -14,7 +14,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .data import InitialData, casimir
-from .engine import _classical, eulerian_fields
+from .engine import Flow, _flow, eulerian_fields
 from .errors import StepUnstable
 from .grid import GridFunction, derivative, integrate
 
@@ -152,18 +152,18 @@ def _march(d: InitialData, t0: float, t1: float, u, rho, cfg: OracleConfig):
     return u, rho
 
 
-def _breakdown_clock(d: InitialData, t_last: float, cfg: OracleConfig):
-    """Breakdown time of d and the assembly of its closed-form flow, from
-    its one normalized analysis (`engine._classical`). Refuses a step
-    above 0.5/n on the datum's n-point grid, and targets within 0.05 of
+def _breakdown_clock(d: InitialData, t_last: float, cfg: OracleConfig) -> Flow:
+    """The closed-form flow of d, from its one normalized analysis
+    (`engine._flow`), with its breakdown time. Refuses a step above
+    0.5/n on the datum's n-point grid, and targets within 0.05 of
     breakdown: close to breaking the spectral representation degrades
     and the integrator no longer serves as a trustworthy reference."""
     if cfg.dt > 0.5 / d.grid.n:
         raise ValueError("dt must not exceed 0.5/n")
-    _, tstar, assemble = _classical(d)
-    if t_last > tstar - SAFETY_MARGIN:
-        raise ValueError(f"t = {t_last} is past the safety margin before breakdown at {tstar:.6g}")
-    return tstar, assemble
+    run = _flow(d)
+    if t_last > run.t_star - SAFETY_MARGIN:
+        raise ValueError(f"t = {t_last} is past the safety margin before breakdown at {run.t_star:.6g}")
+    return run
 
 
 def evolve(
@@ -189,7 +189,7 @@ def compare(d: InitialData, times, cfg: OracleConfig = OracleConfig()) -> dict:
     both fields and the drift of the energy constant.
     """
     times = sorted(float(t) for t in times)
-    tstar, assemble = _breakdown_clock(d, max(times, default=-math.inf), cfg)
+    run = _breakdown_clock(d, max(times, default=-math.inf), cfg)
     c0 = casimir(d)
     gr = d.grid
     u, rho = d.u0.values, d.rho0.values
@@ -198,7 +198,7 @@ def compare(d: InitialData, times, cfg: OracleConfig = OracleConfig()) -> dict:
         # the march goes on from the report's copies, so the fields are held once
         uo, ro = map(gr.function, _march(d, t_prev, t, u, rho, cfg))
         u, rho = uo.values, ro.values
-        ue, re = eulerian_fields(assemble(t)[0])
+        ue, re = eulerian_fields(run.state(t))
         eu, er = uo - ue, ro - re
         rows.append({"t": t, "l2_u": eu.l2_norm(), "l2_rho": er.l2_norm(),
                      "sup_u": eu.sup_norm(), "sup_rho": er.sup_norm(),
@@ -210,7 +210,7 @@ def compare(d: InitialData, times, cfg: OracleConfig = OracleConfig()) -> dict:
         "dealias": cfg.dealias,
         "kappa": d.kappa,
         "casimir": c0,
-        "blowup_time": tstar,
+        "blowup_time": run.t_star,
         "rows": rows,
         "max_l2": max((max(r["l2_u"], r["l2_rho"]) for r in rows), default=0.0),
     }

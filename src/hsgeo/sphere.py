@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import InitialData
-from .engine import _analysis, _first_root, factor
+from .data import InitialData, casimir
+from .engine import Flow, _flow
 from .errors import NotInU
 from .grid import Grid, GridFunction, antiderivative_from_zero, derivative, integrate
 
@@ -177,24 +177,19 @@ def canonical_representative(g: GroupElement) -> tuple[GroupElement, float]:
     return GroupElement(g.phi, g.alpha - 2.0 * beta), beta
 
 
-def _geodesic_flow(d: InitialData):
-    """The Casimir c of a datum, its boundary clock and its geodesic as a
-    function of time, from one analysis at c (no normalization is
-    assumed): t -> (point, gap w_p w_q, velocity pair), where the branch
-    factors w_p, w_q = f1 +- f2 are `factor` values.
-    """
+def _geodesic_flow(d: InitialData) -> Flow:
+    """The geodesic of a kappa = -1 datum: its flow analysed at its own
+    Casimir c (no normalization is assumed), whose branch factors
+    (`Flow.factors`) are the chart components w_p, w_q = f1 +- f2 and
+    whose clock is the boundary hit."""
     if d.kappa != -1:
         raise ValueError("pseudosphere geodesics require kappa = -1")
-    c, slopes = _analysis(d, "casimir")
-    gr = d.grid
+    return _flow(d, casimir(d))
 
-    def at(t: float):
-        (wp, vp), (wq, vq) = (factor(z, c, t) for z in slopes)
-        f = SpherePoint(gr.function(0.5 * (wp + wq)), gr.function(0.5 * (wp - wq)))
-        v = gr.function(0.5 * (vp + vq)), gr.function(0.5 * (vp - vq))
-        return f, gr.function(wp * wq), v
 
-    return c, _first_root(c, slopes), at
+def _point(grid: Grid, wp, wq) -> SpherePoint:
+    """The point with components f1 +- f2 = wp, wq."""
+    return SpherePoint(grid.function(0.5 * (wp + wq)), grid.function(0.5 * (wp - wq)))
 
 
 def geodesic(d: InitialData, t: float) -> SpherePoint:
@@ -205,7 +200,8 @@ def geodesic(d: InitialData, t: float) -> SpherePoint:
     quarter-energy of the datum; no normalization of the datum is
     assumed. Only kappa = -1 data ride the indefinite pairing.
     """
-    return _geodesic_flow(d)[2](t)[0]
+    (wp, _), (wq, _) = _geodesic_flow(d).factors(t)
+    return _point(d.grid, wp, wq)
 
 
 def geodesic_gap(d: InitialData, t: float) -> GridFunction:
@@ -215,12 +211,14 @@ def geodesic_gap(d: InitialData, t: float) -> GridFunction:
     accurate to rounding where the difference of squares of components
     growing like e^{st} cancels.
     """
-    return _geodesic_flow(d)[2](t)[1]
+    (wp, _), (wq, _) = _geodesic_flow(d).factors(t)
+    return d.grid.function(wp * wq)
 
 
 def geodesic_velocity(d: InitialData, t: float):
     """Time derivative of the geodesic, as a component pair."""
-    return _geodesic_flow(d)[2](t)[2]
+    (_, vp), (_, vq) = _geodesic_flow(d).factors(t)
+    return d.grid.function(0.5 * (vp + vq)), d.grid.function(0.5 * (vp - vq))
 
 
 def boundary_hit_time(d: InitialData) -> float:
@@ -235,6 +233,4 @@ def boundary_hit_time(d: InitialData) -> float:
     threshold up to rounding count as on it, so data exactly on the
     global-existence boundary is not misreported.
     """
-    if d.kappa != -1:
-        raise ValueError("pseudosphere geodesics require kappa = -1")
-    return _first_root(*_analysis(d, "casimir"))
+    return _geodesic_flow(d).t_star

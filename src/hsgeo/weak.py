@@ -3,26 +3,27 @@
 On the admissible set (unit negative energy constant, slopes bounded
 below by the breakdown threshold) the flow map degenerates at isolated
 points but never folds, and the closed-form flow state of the engine
-(`engine._assembly`, the one the classical flow uses), taken at the
-datum's own Casimir, continues it past every classical breakdown.
-Pushing the Lagrangian velocity through the flow map then yields
-density-velocity pairs that solve the system weakly for all time while
-conserving the indefinite energy. A datum's flow, weak or classical, is
-analysed once (`flow`) and then assembled at any number of times.
+(`engine.Flow`, the one the classical flow uses), taken at the datum's
+own Casimir, continues it past every classical breakdown. Pushing the
+Lagrangian velocity through the flow map then yields density-velocity
+pairs that solve the system weakly for all time while conserving the
+indefinite energy. A datum's flow, weak or classical, is analysed once
+(`flow`) and then assembled at any number of times.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import CLASS_TOL, InitialData, casimir
 from .engine import (
+    Flow,
     LagrangianFields,
-    _analysis,
+    WeakState,
     _breaking,
-    _classical,
+    _flow,
     eulerian_fields,
 )
 from .errors import NotAdmissible
@@ -61,102 +62,32 @@ def admissibility(d: InitialData) -> AdmissibilityReport:
     threshold up to rounding count as on it.
     """
     cas = casimir(d)
-    c, (p0, q0) = _analysis(d, -1)
+    unit = abs(cas + 1.0) <= CLASS_TOL
+    run = _flow(d, cas if unit else -1)
+    (p0, q0), c = run.slopes, run.c
     bad = _breaking(p0, c) | _breaking(q0, c)
-    del p0, q0  # the node list, up to n Python ints, is built without them
+    del run, p0, q0  # the node list, up to n Python ints, is built without them
     bad = np.nonzero(bad)[0]
-    return AdmissibilityReport(cas, abs(cas + 1.0) <= CLASS_TOL, bad.size == 0, bad.tolist())
-
-
-@dataclass(frozen=True)
-class WeakState(LagrangianFields):
-    """Flow state of the global weak flow, with the chart coordinates.
-
-    f1 and f2 are the two components of the geodesic on the
-    pseudosphere, phi_x = f1^2 - f2^2, and alpha is the twist, whose
-    rate alpha_t is the density rho along the flow.
-    """
-
-    refuse_degenerate: ClassVar[bool] = False
-
-    f1: GridFunction
-    f2: GridFunction
-    alpha: GridFunction
-
-    @property
-    def alpha_t(self) -> GridFunction:
-        return self.rho
-
-    @property
-    def floor(self) -> float:
-        """Lower bound e^{-2t} of phi_x along the weak flow."""
-        return math.exp(-2.0 * self.t)
-
-    def __post_init__(self):
-        if abs(self.phi.values[0]) > 1e-9:
-            raise ValueError("phi(0) must vanish")
-        if abs(integrate(self.phi_x) - 1.0) > 1e-9:
-            raise ValueError("phi must have unit winding")
-        if np.diff(self.phi.values).min() < -1e-12:
-            raise ValueError("phi must be nondecreasing")
-        if self.phi_x.values.min() < self.floor - 1e-9:
-            raise ValueError("phi_x fell below the admissible lower bound")
-
-
-@dataclass(frozen=True)
-class Flow:
-    """The flow of one datum, analysed once (`flow`): the global weak flow
-    of admissible data, the classical closed form otherwise, refused at
-    or past its breakdown time t_star (+inf for the weak flow).
-
-    The class, the clock, the branch slopes and, for c < 0, the
-    projected half-slope product are fixed when the flow is built, from
-    the datum's one normalized analysis (`engine._classical`), so a run
-    of T output times costs one O(n) analysis plus T assemblies
-    (`engine._assembly`).
-    """
-
-    datum: InitialData
-    admissible: bool
-    t_star: float
-    assemble: Callable = field(repr=False)
-
-    def state(self, t: float) -> LagrangianFields:
-        """Flow state at time t: a WeakState on the weak flow, whose chart
-        components are f1 +- f2 = w_p, w_q, the two branch factors, and
-        whose alpha_t = rho0 / phi_x exactly (the Wronskian of the two
-        factor branches is constant in time and equals rho0)."""
-        return self._state(t)[0]
-
-    def _state(self, t: float):
-        """Flow state at time t (`state`) and the branch-factor rates
-        w_p', w_q'."""
-        s, (wp, vp), (wq, vq) = self.assemble(t)
-        if self.admissible:
-            gr = self.datum.grid
-            s = WeakState(
-                **vars(s), f1=gr.function(0.5 * (wp + wq)), f2=gr.function(0.5 * (wp - wq)),
-                alpha=gr.function(np.log(wp) - np.log(wq)),
-            )
-        return s, vp, vq
+    return AdmissibilityReport(cas, unit, bad.size == 0, bad.tolist())
 
 
 def flow(d: InitialData, weak: bool = False) -> Flow:
-    """The flow of d, from its one normalized analysis
-    (`engine._classical`): the global weak flow, stable for arbitrarily
-    large t, where the clock reads +inf at the class -1 (read at the
-    datum's own Casimir), which on normalized data is the verdict of
-    `admissibility`; the classical closed form otherwise, refused at its
-    clock (ValueError for data that is not normalized). With weak=True,
-    data that fails `admissibility` raises NotAdmissible instead; data
-    off the class -1 is refused on its Casimir, before the normalized
-    analysis could raise ValueError.
+    """The flow of d, from its one normalized analysis (`engine._flow`):
+    the global weak flow, stable for arbitrarily large t, where the
+    clock reads +inf at the class -1 (read at the datum's own Casimir),
+    which on normalized data is the verdict of `admissibility`; the
+    classical closed form otherwise, refused at its clock (ValueError
+    for data that is not normalized). With weak=True, data that fails
+    `admissibility` raises NotAdmissible instead; data off the class -1
+    is refused on its Casimir, before the normalized analysis could
+    raise ValueError.
     """
     if not weak or abs(casimir(d) + 1.0) <= CLASS_TOL:
-        c, t_star, assemble = _classical(d)
-        admissible = math.isinf(t_star) and abs(c + 1.0) <= CLASS_TOL
-        if admissible or not weak:
-            return Flow(d, admissible, t_star, assemble)
+        run = _flow(d)
+        if math.isinf(run.t_star) and abs(run.c + 1.0) <= CLASS_TOL:
+            return dataclasses.replace(run, admissible=True)
+        if not weak:
+            return run
     rep = admissibility(d)
     raise NotAdmissible(
         f"data is not admissible for the global weak flow: "

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from hsgeo import data, engine, sphere, weak
+from hsgeo import data, engine
 from hsgeo.grid import Grid, GridFunction
 
 # a fixed seed and no example database: every run draws the same examples
@@ -106,8 +106,7 @@ def count_work(monkeypatch):
         work["analyses"] += 1
         return analysis(*a)
 
-    for mod in (engine, sphere, weak):
-        monkeypatch.setattr(mod, "_analysis", counted_analysis)
+    monkeypatch.setattr(engine, "_analysis", counted_analysis)
     kept = data.InitialData._casimir  # the cached property: its func runs once per datum
     casimir = kept.func
 

@@ -270,12 +270,12 @@ def test_simulate_of_breaking_data_analyses_it_once_per_run(monkeypatch, capsys)
 
 
 def test_blowup_analyses_its_datum_once_per_clock(monkeypatch, capsys):
-    # closed form, literal and multisection; global is the closed clock
-    # read at +inf, not a fourth analysis
+    # closed form, literal and multisection read one analysis' slopes;
+    # global is the closed clock read at +inf
     work = count_work(monkeypatch)
     code, rep = _run_json(capsys, ["blowup", "--preset", "fig1a"])
     assert code == 0 and rep["global"] is False
-    assert work["analyses"] == 3
+    assert work["analyses"] == 1
 
 
 def test_simulate_memory_stays_below_the_per_frame_analysis(tmp_path, capsys):

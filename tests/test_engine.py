@@ -119,7 +119,7 @@ def test_factor_roots_keep_their_accuracy_near_the_lightlike_class():
     grid = Grid(4096)
     base = grid.function(np.cos(2 * np.pi * grid.x))
     raw = InitialData.from_gradient(base, base)
-    c, (p0, _) = engine._analysis(raw, "casimir")
+    c, (p0, _) = engine._analysis(raw, data.casimir(raw))
     assert 0 < c < 1e-16
     exact = -2.0 / p0.min()
     assert abs(boundary_hit_time(raw) - exact) <= 4 * math.ulp(exact)
@@ -223,9 +223,9 @@ def test_multisection_equals_the_bisection_reference(n):
         finite += math.isfinite(got)
         if raw.kappa == -1:
             # the scan at the raw Casimir, and the boundary clock's root formula there
-            c, z = engine._analysis(raw, "casimir")
+            c, z = engine._analysis(raw, data.casimir(raw))
             ref = _bisect_reference(c, np.concatenate(z))
-            assert engine._scan_bisect(*engine._analysis(raw, "casimir"), 20.0, 1e-3) == ref
+            assert engine._scan_bisect(*engine._analysis(raw, data.casimir(raw)), 20.0, 1e-3) == ref
             hit = boundary_hit_time(raw)
             assert hit == ref or abs(hit - ref) <= 4 * math.ulp(ref)
     assert finite > 40

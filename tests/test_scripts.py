@@ -27,6 +27,7 @@ def _main(name):
     ("curvature_scan", ["--n", "64", "--points", "3", "--dims", "1"],
      ["family.csv", "planes.csv"]),
     ("closed_vs_stepping", ["--ns", "64", "--times", "0.1,0.3"], ["closed_vs_stepping.csv"]),
+    ("output_battery", [], ["manifest.json"]),
 ])
 def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name, *args, "--out", str(tmp_path)])

@@ -21,7 +21,7 @@ from hsgeo.weak import (
     weak_state,
 )
 from hsgeo.grid import Grid, derivative, integrate
-from hsgeo.sphere import geodesic
+from hsgeo.sphere import _geodesic_flow, boundary_hit_time, geodesic
 from conftest import count_work
 
 FIG1A = preset("fig1a")
@@ -121,6 +121,20 @@ def test_weak_chart_is_the_pseudosphere_geodesic():
             w, g = weak_state(d, t), geodesic(d, t)
             assert np.array_equal(w.f1.values, g.f1.values), (d.grid.n, t)
             assert np.array_equal(w.f2.values, g.f2.values), (d.grid.n, t)
+
+
+def test_weak_flow_and_its_geodesic_are_one_analysis():
+    # normalized class -1 data: the weak flow reads it at its own Casimir,
+    # where its geodesic runs, so both are one class, one set of slopes,
+    # one set of branch factors and one clock
+    for d in _chart_data():
+        run, geo = flow(d), _geodesic_flow(d)
+        assert run.admissible and run.c == geo.c
+        assert all(np.array_equal(a, b) for a, b in zip(run.slopes, geo.slopes))
+        for t in (0.0, 1.0, 20.0):
+            for mine, theirs in zip(run.factors(t), geo.factors(t)):
+                assert all(np.array_equal(a, b) for a, b in zip(mine, theirs)), (d.grid.n, t)
+        assert run.t_star == boundary_hit_time(d)
 
 
 def test_casimir_defect_within_tolerance_is_projected_out():
