@@ -22,8 +22,11 @@ exactly when their manifests are equal:
 
   PYTHONPATH=src python scripts/output_battery.py --out before
   ... change the program ...
-  PYTHONPATH=src python scripts/output_battery.py --out after
-  diff before/manifest.json after/manifest.json
+  PYTHONPATH=src python scripts/output_battery.py --out after --against before/manifest.json
+
+With --against, the script lists every run whose exit code, stdout,
+stderr or file hashes differ from the old manifest, and every run that
+only one of them has, and exits 1 if there is any.
 """
 
 import argparse
@@ -91,9 +94,32 @@ def _inside(path: pathlib.Path):
         os.chdir(back)
 
 
+def compare(old: list[dict], new: list[dict]) -> list[str]:
+    """One line per run, keyed by its argv, that differs between two
+    manifests: the fields that differ (the names of the files for
+    `files`), or the manifest that lacks the run."""
+    before = {" ".join(e["argv"]): e for e in old}
+    lines = []
+    for e in new:
+        key = " ".join(e["argv"])
+        o = before.pop(key, None)
+        if o is None:
+            lines.append(f"{key}: not in the old manifest")
+            continue
+        fields = [f for f in ("exit", "stdout", "stderr") if o[f] != e[f]]
+        names = sorted(f for f in o["files"].keys() | e["files"].keys()
+                       if o["files"].get(f) != e["files"].get(f))
+        if names:
+            fields.append("files " + " ".join(names))
+        if fields:
+            lines.append(f"{key}: {'; '.join(fields)} differ")
+    return lines + [f"{key}: not in the new manifest" for key in before]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("battery_out"))
+    ap.add_argument("--against", type=pathlib.Path, help="an old manifest.json to compare with")
     args = ap.parse_args()
     out = args.out
     entries = []
@@ -110,7 +136,13 @@ def main():
     path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     nfiles = sum(len(e["files"]) for e in entries)
     print(f"wrote {path} ({len(entries)} runs, {nfiles} files)")
-    return 0
+    if args.against is None:
+        return 0
+    diffs = compare(json.loads(args.against.read_text()), entries)
+    for line in diffs:
+        print(line)
+    print(f"{len(diffs)} runs differ from {args.against}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

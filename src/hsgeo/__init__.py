@@ -38,6 +38,7 @@ from .engine import (
 from .errors import (
     BlowupReached,
     DegeneratePlane,
+    FactorOverflow,
     HsError,
     NonZeroMean,
     NotAdmissible,
@@ -83,9 +84,7 @@ from .grid import (
     integrate,
     mean_zero_project,
     read_csv,
-    table_template,
     write_csv,
-    write_rows,
     write_table,
     write_text,
 )

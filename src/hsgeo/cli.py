@@ -31,7 +31,7 @@ from .engine import _flow, _literal, _scan_bisect, eulerian_fields
 from .errors import BlowupReached, HsError
 from .findim import _draw_horizontal, _draw_point, holomorphic_sec, plane_scan
 from .geometry import identity_defects
-from .grid import EPS, Grid, table_template, write_rows, write_text
+from .grid import EPS, Grid, write_table, write_text
 from .oracle import OracleConfig, _check_work, compare
 from .sphere import _geodesic_flow, _point
 from .weak import energy, flow
@@ -127,14 +127,14 @@ def _cmd_simulate(args) -> int:
 
     files = []
     energies = []
-    table = table_template("x,u,rho,ux_along_flow", d.grid.x, 3) if out else None
     for idx, t in enumerate(times):
         s = run.state(t)
         u, rho = eulerian_fields(s)
         energies.append(energy(s))
         if out:
             name = f"state_{idx:04d}.csv"
-            write_rows(out / name, table, [u.values, rho.values, s.ux.values])
+            write_table(out / name, "x,u,rho,ux_along_flow",
+                        [d.grid.x, u.values, rho.values, s.ux.values])
             files.append({"t": t, "path": name})
 
     drift = max(abs(e - energies[0]) for e in energies)
@@ -173,14 +173,13 @@ def _cmd_geodesic(args) -> int:
     run = _geodesic_flow(d)  # the datum's one analysis
     files = []
     mins = []
-    table = table_template("x,f1,f2", d.grid.x, 2) if out else None
     for idx, t in enumerate(times):
         (wp, _), (wq, _) = run.factors(t)
         f = _point(d.grid, wp, wq)
         mins.append(d.grid.function(wp * wq).min())
         if out:
             name = f"sphere_{idx:04d}.csv"
-            write_rows(out / name, table, [f.f1.values, f.f2.values])
+            write_table(out / name, "x,f1,f2", [d.grid.x, f.f1.values, f.f2.values])
             files.append({"t": t, "path": name})
     report = {
         "schema": SCHEMA,

@@ -33,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .data import InitialData, _unit_class
-from .errors import BlowupReached, NotInvertible, Singular
+from .errors import BlowupReached, FactorOverflow, NotInvertible, Singular
 from .grid import EPS, Grid, GridFunction, _antiderivative, _interpolant, derivative, integrate
 
 SINGULAR_TOL = 1e-12
@@ -371,9 +371,15 @@ class Flow:
     admissible: bool = False
 
     def factors(self, t: float):
-        """(w_p, w_p'), (w_q, w_q'): the branch factors and rates at t."""
+        """(w_p, w_p'), (w_q, w_q'): the branch factors and rates at t;
+        FactorOverflow where one leaves the float range (sinh st past
+        st = 710 for c = -s^2), which `state` meets first."""
         p0, q0 = self.slopes
-        return factor(p0, self.c, t), factor(q0, self.c, t)
+        try:
+            with np.errstate(over="raise"):
+                return factor(p0, self.c, t), factor(q0, self.c, t)
+        except FloatingPointError:
+            raise FactorOverflow(f"the branch factors overflow the float range at t = {t:g}") from None
 
     @functools.cached_property
     def _product(self) -> np.ndarray:

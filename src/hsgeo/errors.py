@@ -17,6 +17,10 @@ class BlowupReached(HsError):
     """Requested time is at or past the first breakdown of the flow map."""
 
 
+class FactorOverflow(HsError):
+    """Branch factors of the closed-form flow overflow the float range."""
+
+
 class NotInvertible(HsError):
     """Flow map is too degenerate to invert on the grid."""
 

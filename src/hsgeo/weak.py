@@ -22,6 +22,7 @@ from .engine import (
     Flow,
     LagrangianFields,
     WeakState,
+    _analysis,
     _breaking,
     _flow,
     eulerian_fields,
@@ -63,10 +64,9 @@ def admissibility(d: InitialData) -> AdmissibilityReport:
     """
     cas = casimir(d)
     unit = abs(cas + 1.0) <= CLASS_TOL
-    run = _flow(d, cas if unit else -1)
-    (p0, q0), c = run.slopes, run.c
+    c, (p0, q0) = _analysis(d, cas if unit else -1)  # the slopes, not the clock
     bad = _breaking(p0, c) | _breaking(q0, c)
-    del run, p0, q0  # the node list, up to n Python ints, is built without them
+    del p0, q0  # the node list, up to n Python ints, is built without them
     bad = np.nonzero(bad)[0]
     return AdmissibilityReport(cas, unit, bad.size == 0, bad.tolist())
 

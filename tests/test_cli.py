@@ -296,6 +296,44 @@ def test_simulate_memory_stays_below_the_per_frame_analysis(tmp_path, capsys):
     assert peak < 0.9 * 0.878e6
 
 
+def test_table_memory_is_one_block_below_the_reconstruction(tmp_path):
+    # a (4, n) table is written TABLE_BLOCK values at a time: the same
+    # peak at n = 1024 and 4096 (0.16 MB), below that of the frame's
+    # Eulerian reconstruction at n = 512 and 1024 (0.33 and 0.57 MB)
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    tables, frames = {}, {}
+    for n in (512, 1024, 4096):
+        s = weak.flow(data.preset("fig1c", n)).state(3.0)
+        u, rho = engine.eulerian_fields(s)
+        cols = [u.grid.x, u.values, rho.values, s.ux.values]
+        write_table(tmp_path / "t.csv", "x,u,rho,ux_along_flow", cols)  # tables built
+        tables[n] = peak(lambda: write_table(tmp_path / "t.csv", "x,u,rho,ux_along_flow", cols))
+        frames[n] = peak(lambda: engine.eulerian_fields(s))
+    assert abs(tables[4096] - tables[1024]) <= 0.1 * tables[1024]
+    assert max(tables.values()) < min(frames[512], frames[1024])
+
+
+@pytest.mark.parametrize("command", ["simulate", "geodesic"])
+def test_overflowing_factors_exit_1_with_one_line(command):
+    # past s t = 710 the branch factors leave the float range: a refusal
+    # that names t, where simulate raised an uncaught OverflowError
+    env = {**os.environ, "PYTHONPATH": str(Path(hsgeo.__file__).parents[1])}
+    argv = [sys.executable, "-m", "hsgeo", command, "--preset", "fig1c", "--n", "256",
+            "--times", "0,800"]
+    res = subprocess.run(argv, capture_output=True, text=True, env=env, check=False)
+    assert res.returncode == 1
+    assert res.stderr == f"hs {command}: the branch factors overflow the float range at t = 800\n"
+    assert "Traceback" not in res.stderr
+
+
 def test_simulate_tables_match_the_reference_inversion(tmp_path, capsys):
     # x formatted per value, as tables were written; u and rho within
     # 1e-12 of the inversion that differentiated phi - x and started at
@@ -322,8 +360,8 @@ def test_simulate_tables_match_the_reference_inversion(tmp_path, capsys):
 
 
 def test_geodesic_tables_keep_their_bytes(tmp_path, capsys):
-    # written through one row template per run, byte for byte the tables
-    # of write_table on the full columns
+    # byte for byte the tables of write_table on the columns of
+    # sphere.geodesic at each time
     out = tmp_path / "geo"
     times = [0.0, 0.7, 3.0]
     code, rep = _run_json(capsys, ["geodesic", "--preset", "fig1b", "--n", "64", "--times",

@@ -15,9 +15,7 @@ from hsgeo.grid import (
     integrate,
     mean_zero_project,
     read_csv,
-    table_template,
     write_csv,
-    write_rows,
     write_table,
     write_text,
 )
@@ -237,16 +235,62 @@ def test_write_table_formats_like_per_value_fstrings(tmp_path):
     assert path.read_bytes() == ("x,a,b\n" + rows).encode()
 
 
-def test_row_template_writes_the_bytes_of_write_table(tmp_path):
-    x = GRID.x
-    cols = [np.sin(2 * np.pi * x), np.array([-0.0, 5e-324, 1e300] + [-1.0 / 3.0] * (GRID.n - 3))]
-    write_table(tmp_path / "full.csv", "x,a%,b", [x, *cols])
-    template = table_template("x,a%,b", x, 2)
-    write_rows(tmp_path / "rows.csv", template, cols)
-    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
-    write_rows(tmp_path / "rows.csv", template, cols[::-1])  # the template is reused as it is
-    write_table(tmp_path / "full.csv", "x,a%,b", [x, *cols[::-1]])
-    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+def _printed(values, k: int) -> bytes:
+    """Rows of k values as `'%.17g' % x` per value writes them."""
+    rows = zip(*[iter(values)] * k)
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows).encode()
+
+
+def _written(path, values, k: int) -> bytes:
+    """Body of the table of the values, k to a row, that write_table writes."""
+    write_table(path, "h", np.reshape(values, (-1, k)).T)
+    return path.read_bytes()[2:]
+
+
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_BITS = st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.one_of(_FLOAT, _BITS), min_size=k, max_size=64)
+                        .map(lambda v: v[: len(v) - len(v) % k]))))
+def test_write_table_prints_any_float64_as_percent_17g(tmp_path_factory, case):
+    k, values = case
+    path = tmp_path_factory.mktemp("g17") / "t.csv"
+    assert _written(path, values, k) == _printed(values, k)
+
+
+def test_write_table_prints_the_edge_values_as_percent_17g(tmp_path):
+    # zeros, subnormal, normal and overflow edges; 10^k and both float
+    # neighbours; ties to even at the 18th digit, one that only looks
+    # half-way, and decade carries; 2- and 3-digit exponents and the
+    # range of the table of powers; every exponent around the switch
+    # from fixed to scientific notation, with 1, 3 and 17 digits
+    fi = np.finfo(float)
+    values = [0.0, -0.0, 5e-324, -5e-324, fi.tiny, np.nextafter(fi.tiny, 0.0), fi.max, -fi.max,
+              np.nan, np.inf, -np.inf, 123456789011 / 1024, 1000000000000000.25,
+              1234567890123456.75, -1999999999999999.25, 9.9999999999999995e-5,
+              99999999999999999.0, 9.99999999999999999e16, 1.5e-100, -1.5e-99, 1.5e99, 2e100,
+              1e-278, 1e278, 1e-279, 1e279, 1.0000000000000002e-278, 9.999999999999999e277]
+    for e in range(-30, 31):
+        v = float(f"1e{e}")
+        values += [v, np.nextafter(v, 0.0), np.nextafter(v, np.inf)]
+    for e in range(-5, 18):
+        values += [10.0**e, -1.25 * 10.0**e, np.pi * 10.0**e, np.nextafter(10.0 ** (e + 1), 0.0)]
+    values += [0.5] * (-len(values) % 3)
+    tiled = values * (1 + 3000 // len(values))  # across blocks of TABLE_BLOCK values
+    for k, vals in ((3, values), (1, values), (3, tiled[: len(tiled) // 3 * 3])):
+        assert _written(tmp_path / "t.csv", vals, k) == _printed(vals, k)
+
+
+def test_write_table_writes_the_header_as_it_is(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "x,a%,b%%,%s", [GRID.x[:2], [1.0, 2.0], [-0.5, 3e-7], [7.0, np.inf]])
+    assert path.read_bytes() == b"x,a%,b%%,%s\n0,1,-0.5,7\n0.015625,2,2.9999999999999999e-07,inf\n"
+    write_table(path, "only", [[]])
+    assert path.read_bytes() == b"only\n"
+    with pytest.raises(ValueError, match="equal length"):
+        write_table(path, "x,a", [GRID.x, GRID.x[1:]])
 
 
 def test_eval_at_on_and_just_below_a_fine_node():

@@ -13,11 +13,11 @@ SCRIPTS = ROOT / "scripts"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _main(name):
+def _module(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
 
 
 @pytest.mark.parametrize("name, args, outputs", [
@@ -31,7 +31,7 @@ def _main(name):
 ])
 def test_script_runs(name, args, outputs, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name, *args, "--out", str(tmp_path)])
-    assert _main(name)() == 0
+    assert _module(name).main() == 0
     assert "wrote" in capsys.readouterr().out
     for out in outputs:
         assert len((tmp_path / out).read_text().splitlines()) > 1
@@ -48,3 +48,25 @@ def test_benchmark_workload_runs_clean(workload, trace):
     assert res.returncode == 0, res.stderr
     summary = json.loads(res.stdout.splitlines()[-1])
     assert summary["correct"] is True and summary["failed"] == 0, summary
+
+
+def test_output_battery_compares_two_manifests():
+    # hand-made manifests: one run the same, one with a new file hash, a
+    # new exit code and stderr, one only in the old, one only in the new
+    battery = _module("output_battery")
+
+    def run(argv, code=0, err="", files=None):
+        return {"argv": argv.split(), "exit": code, "stdout": "ok\n", "stderr": err,
+                "files": files or {"a.csv": "11", "b.csv": "22"}}
+
+    old = [run("simulate --n 64"), run("geodesic --n 64"), run("blowup --n 64")]
+    assert battery.compare(old, old) == []
+    new = [run("simulate --n 64"), run("geodesic --n 64", files={"a.csv": "11", "b.csv": "23"}),
+           run("compare --n 64", 1, "hs compare: refused\n")]
+    assert battery.compare(old, new) == [
+        "geodesic --n 64: files b.csv differ",
+        "compare --n 64: not in the old manifest",
+        "blowup --n 64: not in the new manifest",
+    ]
+    new[0] = run("simulate --n 64", 1, "hs simulate: refused\n", {"a.csv": "11"})
+    assert battery.compare(old, new)[0] == "simulate --n 64: exit; stderr; files b.csv differ"
